@@ -15,7 +15,9 @@ import (
 	"hyrise/internal/types"
 )
 
-// Microbenchmarks for the parallel execution path. These are the workloads
+// Microbenchmarks for the parallel execution path: each pair runs the same
+// operator without a scheduler (fan-out 1) and on a scheduler with one worker
+// per CPU (fan-out by the parallelism rule). These are the workloads
 // the CI benchmark-regression gate tracks (see cmd/benchdiff and the bench
 // job in .github/workflows/ci.yml): run with
 //
@@ -75,18 +77,16 @@ func BenchmarkMicroJoin(b *testing.B) {
 	defer sched.Shutdown()
 
 	cases := []struct {
-		name     string
-		strategy operators.JoinStrategy
-		sched    scheduler.Scheduler
+		name  string
+		sched scheduler.Scheduler
 	}{
-		{"serial", operators.JoinStrategySerial, nil},
-		{"radix", operators.JoinStrategyRadix, sched},
+		{"serial", nil},
+		{"radix", sched},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ctx := operators.NewExecContext(nil, tc.sched, nil)
-				ctx.Parallel.JoinStrategy = tc.strategy
 				join := operators.NewHashJoin(operators.JoinModeInner,
 					&tableSource{l}, &tableSource{r},
 					&expression.BoundColumn{Index: 0}, &expression.BoundColumn{Index: 0}, nil)
@@ -129,19 +129,17 @@ func BenchmarkMicroAggregate(b *testing.B) {
 	defer sched.Shutdown()
 
 	cases := []struct {
-		name      string
-		sched     scheduler.Scheduler
-		threshold int
+		name  string
+		sched scheduler.Scheduler
 	}{
-		{"serial", nil, -1},
-		{"parallel", sched, 1},
+		{"serial", nil},
+		{"parallel", sched},
 	}
 	col := func(i int) *expression.BoundColumn { return &expression.BoundColumn{Index: i} }
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ctx := operators.NewExecContext(nil, tc.sched, nil)
-				ctx.Parallel.ParallelMergeThreshold = tc.threshold
 				agg := operators.NewAggregate(&tableSource{table},
 					[]expression.Expression{col(0)},
 					[]*expression.Aggregate{
@@ -186,15 +184,10 @@ func BenchmarkMicroTPCHQ3(b *testing.B) {
 		name string
 		cfg  func() pipeline.Config
 	}{
-		{"serial", func() pipeline.Config {
-			cfg := pipeline.DefaultConfig()
-			cfg.JoinStrategy = operators.JoinStrategySerial
-			return cfg
-		}},
+		{"serial", pipeline.DefaultConfig},
 		{"radix", func() pipeline.Config {
 			cfg := pipeline.DefaultConfig()
 			cfg.UseScheduler = true
-			cfg.JoinStrategy = operators.JoinStrategyRadix
 			return cfg
 		}},
 	}

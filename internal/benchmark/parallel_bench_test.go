@@ -4,20 +4,17 @@ import (
 	"math/rand"
 	"testing"
 
-	"hyrise/internal/concurrency"
 	"hyrise/internal/expression"
 	"hyrise/internal/operators"
-	"hyrise/internal/persistence"
 	"hyrise/internal/scheduler"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
 )
 
-// Benchmarks for the morsel-driven parallel paths added in PR 10: table
-// scan, sort, and recovery, each with serial and parallel sub-benchmarks so
-// the multi-core CI lane can gate `benchdiff speedup` on the ratio. Under
-// GOMAXPROCS=1 the parallel variants still run (strategy forced), which
-// keeps the serial lane's regression gate meaningful for them too.
+// Benchmarks for the morsel-driven table scan and the run-split sort, each
+// with a serial sub-benchmark (no scheduler, fan-out 1) and a parallel one (a
+// scheduler with one worker per CPU, fan-out by the parallelism rule), so the
+// multi-core CI lane can gate `benchdiff speedup` on the ratio.
 
 // microScanTable builds a multi-chunk int64 table where `v BETWEEN` bounds
 // select roughly half the rows — enough surviving work per morsel that the
@@ -54,18 +51,16 @@ func BenchmarkMicroScanParallel(b *testing.B) {
 		Hi:    expression.NewLiteral(types.Int(750_000)),
 	}
 	cases := []struct {
-		name     string
-		strategy operators.ParallelStrategy
-		sched    scheduler.Scheduler
+		name  string
+		sched scheduler.Scheduler
 	}{
-		{"serial", operators.ParallelSerial, nil},
-		{"parallel", operators.ParallelForce, sched},
+		{"serial", nil},
+		{"parallel", sched},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ctx := operators.NewExecContext(nil, tc.sched, nil)
-				ctx.Parallel.ScanStrategy = tc.strategy
 				scan := operators.NewTableScan(&tableSource{table}, pred)
 				out, err := operators.Execute(scan, ctx)
 				if err != nil {
@@ -86,18 +81,16 @@ func BenchmarkMicroSort(b *testing.B) {
 	defer sched.Shutdown()
 
 	cases := []struct {
-		name     string
-		strategy operators.ParallelStrategy
-		sched    scheduler.Scheduler
+		name  string
+		sched scheduler.Scheduler
 	}{
-		{"serial", operators.ParallelSerial, nil},
-		{"parallel", operators.ParallelForce, sched},
+		{"serial", nil},
+		{"parallel", sched},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ctx := operators.NewExecContext(nil, tc.sched, nil)
-				ctx.Parallel.SortStrategy = tc.strategy
 				sort := operators.NewSort(&tableSource{table}, []operators.SortKey{
 					{Expr: &expression.BoundColumn{Index: 0}},
 					{Expr: &expression.BoundColumn{Index: 1}, Desc: true},
@@ -108,91 +101,6 @@ func BenchmarkMicroSort(b *testing.B) {
 				}
 				if out.RowCount() != table.RowCount() {
 					b.Fatal("sort dropped rows")
-				}
-			}
-		})
-	}
-}
-
-// microRecoveryDir builds a data directory holding a checkpointed snapshot
-// plus a WAL suffix of further commits — both recovery phases get exercised.
-func microRecoveryDir(b *testing.B, n int) string {
-	b.Helper()
-	dir := b.TempDir()
-	sm := storage.NewStorageManager()
-	tm := concurrency.NewTransactionManager()
-	m, err := persistence.Open(sm, tm, persistence.Options{Dir: dir, Mode: persistence.SyncOff})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defs := []storage.ColumnDefinition{
-		{Name: "id", Type: types.TypeInt64},
-		{Name: "name", Type: types.TypeString},
-	}
-	table := storage.NewTable("t", defs, 4096, true)
-	if err := sm.AddTable(table); err != nil {
-		b.Fatal(err)
-	}
-	if err := m.LogCreateTable(table); err != nil {
-		b.Fatal(err)
-	}
-	insert := func(lo, hi int) {
-		tx := tm.New()
-		for i := lo; i < hi; i++ {
-			vals := []types.Value{types.Int(int64(i)), types.Str("row-" + string(rune('a'+i%26)))}
-			rid, err := table.AppendRow(vals)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tx.RegisterInsert(table.GetChunk(rid.Chunk), rid.Offset)
-			tx.LogInsert(table.Name(), rid, vals)
-		}
-		if err := tx.Commit(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	insert(0, n/2)
-	if err := m.Checkpoint(); err != nil {
-		b.Fatal(err)
-	}
-	insert(n/2, n) // survives only in the WAL suffix
-	if err := m.Close(); err != nil {
-		b.Fatal(err)
-	}
-	return dir
-}
-
-func BenchmarkMicroRecovery(b *testing.B) {
-	n := microRows() / 4 // recovery re-reads everything per iteration
-	dir := microRecoveryDir(b, n)
-
-	cases := []struct {
-		name    string
-		workers int
-	}{
-		{"serial", -1},
-		{"parallel", 0}, // one worker per CPU
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sm := storage.NewStorageManager()
-				tm := concurrency.NewTransactionManager()
-				m, err := persistence.Open(sm, tm, persistence.Options{
-					Dir: dir, Mode: persistence.SyncOff, RecoveryWorkers: tc.workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				t, err := sm.GetTable("t")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if t.RowCount() != n {
-					b.Fatalf("recovered %d rows, want %d", t.RowCount(), n)
-				}
-				if err := m.Close(); err != nil {
-					b.Fatal(err)
 				}
 			}
 		})

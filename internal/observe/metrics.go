@@ -317,9 +317,9 @@ type ExecMetrics struct {
 	RowsScanned *Counter
 	// OperatorsExecuted counts physical operator invocations.
 	OperatorsExecuted *Counter
-	// JoinPartitions accumulates the partition counts of radix-partitioned
-	// hash joins (serial joins add nothing).
-	JoinPartitions *Counter
+	// JoinParts accumulates the partition counts of hash joins (a join that
+	// does not fan out adds 1).
+	JoinParts *Counter
 	// JoinBuildNS / JoinProbeNS accumulate wall nanoseconds spent in the
 	// hash join's build and probe phases (summed across partitions, so
 	// parallel runs report total CPU work, not elapsed time).
@@ -346,14 +346,14 @@ type ExecMetrics struct {
 	// ScanEncodedAggregates counts chunks whose aggregation was answered
 	// directly on encoded segments (COUNT/SUM/MIN/MAX fast path).
 	ScanEncodedAggregates *Counter
-	// ScanMorsels accumulates the morsel counts of parallel table scans
-	// (serial scans add nothing — the counter measures real fan-out).
+	// ScanMorsels accumulates the morsel counts of table scans that fan out
+	// (single-morsel scans add nothing — the counter measures real fan-out).
 	ScanMorsels *Counter
 	// ScanParallelNS accumulates wall nanoseconds of morsel-parallel scan
 	// phases (elapsed time, not summed per-task CPU work).
 	ScanParallelNS *Counter
-	// SortRuns accumulates the run counts of parallel sorts (per-run sort +
-	// k-way merge; serial sorts add nothing).
+	// SortRuns accumulates the run counts of sorts that fan out (per-run
+	// sort + k-way merge; single-run sorts add nothing).
 	SortRuns *Counter
 	// SortParallelNS accumulates wall nanoseconds of parallel sort phases
 	// (run sorting plus the merge).
@@ -365,7 +365,7 @@ func NewExecMetrics(r *Registry) *ExecMetrics {
 	return &ExecMetrics{
 		RowsScanned:       r.Counter("rows_scanned"),
 		OperatorsExecuted: r.Counter("operators_executed"),
-		JoinPartitions:    r.Counter("operator.join.partitions"),
+		JoinParts:         r.Counter("operator.join.partitions"),
 		JoinBuildNS:       r.Counter("operator.join.build_ns"),
 		JoinProbeNS:       r.Counter("operator.join.probe_ns"),
 		AggregateMergeNS:  r.Counter("operator.aggregate.merge_ns"),

@@ -40,10 +40,15 @@ func aggFixture(t *testing.T, nRows, nGroups, chunkSize int) (*storage.Table, *A
 // TestAggregateMergeOrderIndependent is the regression test for the merge
 // bugfix: the final group order and values must not depend on the order in
 // which per-chunk partials are merged. Partials are fed to mergePartials in
-// permuted order; the output must be identical every time.
+// permuted order, with one merge shard and with ForceParallel's several; the
+// output must be identical every time.
 func TestAggregateMergeOrderIndependent(t *testing.T) {
 	table, op := aggFixture(t, 5000, 37, 256)
 	ctx := NewExecContext(nil, nil, nil)
+	sched := scheduler.NewNodeQueueScheduler(1, 4)
+	defer sched.Shutdown()
+	forced := NewExecContext(nil, sched, nil)
+	forced.ForceParallel = true
 
 	chunks := table.Chunks()
 	partialsOf := func() []chunkGroups {
@@ -70,7 +75,11 @@ func TestAggregateMergeOrderIndependent(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		partials := partialsOf()
 		rng.Shuffle(len(partials), func(i, j int) { partials[i], partials[j] = partials[j], partials[i] })
-		merged, err := op.mergePartials(ctx, partials)
+		mctx := ctx
+		if trial%2 == 1 {
+			mctx = forced
+		}
+		merged, err := op.mergePartials(mctx, partials)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,8 +93,9 @@ func TestAggregateMergeOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestAggregateParallelMergeMatchesSerial forces the sharded parallel merge
-// and checks it produces exactly the serial result, rows in the same order.
+// TestAggregateParallelMergeMatchesSerial runs the sharded merge on a
+// multi-worker scheduler, by the parallelism rule and forced, and checks it
+// produces exactly the one-shard result, rows in the same order.
 func TestAggregateParallelMergeMatchesSerial(t *testing.T) {
 	_, op := aggFixture(t, 20000, 997, 512)
 
@@ -98,15 +108,15 @@ func TestAggregateParallelMergeMatchesSerial(t *testing.T) {
 
 	sched := scheduler.NewNodeQueueScheduler(1, 4)
 	defer sched.Shutdown()
-	for _, threshold := range []int{1, 100000} {
+	for _, force := range []bool{false, true} {
 		ctx := NewExecContext(nil, sched, nil)
-		ctx.Parallel.ParallelMergeThreshold = threshold
+		ctx.ForceParallel = force
 		out, err := Execute(op, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := tableRows(out); !reflect.DeepEqual(got, want) {
-			t.Fatalf("threshold=%d: parallel merge differs from serial\ngot %d rows, want %d rows", threshold, len(got), len(want))
+			t.Fatalf("force=%v: sharded merge differs from one shard\ngot %d rows, want %d rows", force, len(got), len(want))
 		}
 	}
 }

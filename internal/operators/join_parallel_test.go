@@ -17,10 +17,11 @@ import (
 
 // --- differential join tests ----------------------------------------------
 //
-// Every join implementation and strategy is checked against an independent
-// naive nested-loop reference computed directly over the row values. The
-// radix path must additionally match the serial path row for row (not just
-// as a set): both emit the serial probe order by construction.
+// Every join implementation is checked against an independent naive
+// nested-loop reference computed directly over the row values. The hash
+// join with several partitions must additionally match one partition row
+// for row (not just as a set): every partition count emits the same probe
+// order by construction.
 
 // refJoin computes the expected join output as row strings, independent of
 // any operator code. Key column is 0 on both sides; NULL keys never match.
@@ -130,7 +131,7 @@ func allJoinModes() []JoinMode {
 }
 
 func TestJoinDifferentialAgainstReference(t *testing.T) {
-	sched := scheduler.NewNodeQueueScheduler(1, 4)
+	sched := scheduler.NewNodeQueueScheduler(1, 8)
 	defer sched.Shutdown()
 
 	for _, ds := range joinDatasets() {
@@ -149,15 +150,15 @@ func TestJoinDifferentialAgainstReference(t *testing.T) {
 					return tableRows(out)
 				}
 
-				serialCtx := NewExecContext(nil, nil, nil)
-				serialCtx.Parallel.JoinStrategy = JoinStrategySerial
-				serial := runWith("serial", serialCtx,
+				serial := runWith("serial", NewExecContext(nil, nil, nil),
 					NewHashJoin(mode, tableOp(l), tableOp(r), col(0), col(0), nil))
 
-				for _, parts := range []int{2, 8} {
-					radixCtx := NewExecContext(nil, sched, nil)
-					radixCtx.Parallel.JoinStrategy = JoinStrategyRadix
-					radixCtx.Parallel.JoinPartitions = parts
+				// ForceParallel: 2 partitions without a scheduler, 8 on the
+				// 8-worker scheduler.
+				for _, s := range []scheduler.Scheduler{nil, sched} {
+					radixCtx := NewExecContext(nil, s, nil)
+					radixCtx.ForceParallel = true
+					parts := radixCtx.fanOut(0)
 					radix := runWith(fmt.Sprintf("radix%d", parts), radixCtx,
 						NewHashJoin(mode, tableOp(l), tableOp(r), col(0), col(0), nil))
 					// Radix must match serial exactly, including row order.
@@ -190,29 +191,33 @@ func TestJoinDifferentialAgainstReference(t *testing.T) {
 	}
 }
 
-// TestRadixJoinAutoThreshold checks the auto strategy: small inputs stay
-// serial, large multi-worker inputs go radix.
+// TestRadixJoinAutoThreshold checks the parallelism rule as the join applies
+// it to build + probe rows: small inputs and single-worker contexts use one
+// partition, large multi-worker inputs one per worker rounded up to a power
+// of two and capped, and ForceParallel fans out regardless of size.
 func TestRadixJoinAutoThreshold(t *testing.T) {
 	ctx := NewExecContext(nil, nil, nil)
-	if got := ctx.radixPartitions(1 << 20); got != 1 {
+	if got := ctx.fanOut(1 << 20); got != 1 {
 		t.Errorf("no scheduler: partitions = %d, want 1", got)
 	}
-	sched := scheduler.NewNodeQueueScheduler(1, 4)
-	defer sched.Shutdown()
-	ctx = NewExecContext(nil, sched, nil)
-	if got := ctx.radixPartitions(100); got != 1 {
-		t.Errorf("small input: partitions = %d, want 1", got)
+	ctx.ForceParallel = true
+	if got := ctx.fanOut(0); got != 2 {
+		t.Errorf("forced without scheduler: partitions = %d, want 2", got)
 	}
-	if got := ctx.radixPartitions(radixJoinMinRows); got != 4 {
-		t.Errorf("large input: partitions = %d, want 4", got)
-	}
-	ctx.Parallel.JoinPartitions = 5
-	if got := ctx.radixPartitions(radixJoinMinRows); got != 8 {
-		t.Errorf("explicit partitions rounded: %d, want 8", got)
-	}
-	ctx.Parallel.JoinStrategy = JoinStrategySerial
-	if got := ctx.radixPartitions(1 << 20); got != 1 {
-		t.Errorf("serial strategy: partitions = %d, want 1", got)
+	for _, tc := range []struct{ workers, work, want int }{
+		{4, 100, 1},
+		{4, parallelWork - 1, 1},
+		{4, parallelWork, 4},
+		{5, parallelWork, 8},
+		{1, 1 << 20, 1},
+		{300, 1 << 20, maxFanOut},
+	} {
+		sched := scheduler.NewNodeQueueScheduler(1, tc.workers)
+		ctx := NewExecContext(nil, sched, nil)
+		if got := ctx.fanOut(float64(tc.work)); got != tc.want {
+			t.Errorf("%d workers, work %d: partitions = %d, want %d", tc.workers, tc.work, got, tc.want)
+		}
+		sched.Shutdown()
 	}
 }
 
@@ -236,8 +241,7 @@ func TestRadixJoinCancellation(t *testing.T) {
 	cctx, cancel := context.WithCancel(context.Background())
 	ctx := NewExecContext(nil, sched, nil)
 	ctx.Ctx = cctx
-	ctx.Parallel.JoinStrategy = JoinStrategyRadix
-	ctx.Parallel.JoinPartitions = 8
+	ctx.ForceParallel = true
 
 	done := make(chan error, 1)
 	go func() {

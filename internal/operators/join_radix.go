@@ -11,67 +11,23 @@ import (
 	"hyrise/internal/types"
 )
 
-// This file implements the radix-partitioned, morsel-style parallel hash
-// join path. Both inputs are partitioned by a hash prefix of their join key
-// into P partitions (P ~ worker count); build and probe then run per
-// partition as independent scheduler tasks. Each partition's hash table
-// stays small and cache-resident, and the partitions never share mutable
-// state — the paper's §2.9 point that chunked tables are "an inherent
-// partitioning for multiprocessing", applied to the join hot path.
+// This file implements the hash join kernel: both inputs are partitioned by a
+// hash prefix of their join key into P partitions (P from the parallelism
+// rule, a power of two); build and probe then run per partition as
+// independent scheduler tasks. Each partition's hash table stays small and
+// cache-resident, and the partitions never share mutable state — the paper's
+// §2.9 point that chunked tables are "an inherent partitioning for
+// multiprocessing", applied to the join hot path. P = 1 is the single build
+// and probe: it skips the key hash, the bucket concatenation and the pair
+// merge.
 //
 // Determinism: partitioning keeps rows in global row order within each
-// partition, and the final pair merge restores global probe order, so the
-// radix path emits exactly the pair sequence of the serial build/probe.
-
-// radixJoinMinRows is the combined input size below which the auto strategy
-// stays serial: partitioning overhead only amortizes on larger inputs.
-const radixJoinMinRows = 8192
-
-// maxJoinPartitions caps the fan-out; beyond this, per-partition fixed
-// costs (map allocation, task scheduling) dominate.
-const maxJoinPartitions = 256
+// partition, and the final pair merge restores global probe order, so every
+// P emits exactly the pair sequence of P = 1.
 
 // radixCancelStride is how many probe rows a partition task processes
 // between cancellation checks.
 const radixCancelStride = 4096
-
-// radixPartitions decides the hash join fan-out for n total input rows.
-// 1 means "use the serial path".
-func (ctx *ExecContext) radixPartitions(n int) int {
-	switch ctx.Parallel.JoinStrategy {
-	case JoinStrategySerial:
-		return 1
-	case JoinStrategyRadix:
-		// Forced: parallel even under an inline scheduler (tests, benches).
-	default: // JoinStrategyAuto
-		if ctx.Scheduler == nil || ctx.Scheduler.WorkerCount() <= 1 || n < radixJoinMinRows {
-			return 1
-		}
-	}
-	p := ctx.Parallel.JoinPartitions
-	if p <= 0 {
-		p = 1
-		if ctx.Scheduler != nil {
-			p = ctx.Scheduler.WorkerCount()
-		}
-	}
-	if p < 2 {
-		p = 2
-	}
-	if p > maxJoinPartitions {
-		p = maxJoinPartitions
-	}
-	return nextPow2(p)
-}
-
-// nextPow2 rounds n up to a power of two (hash masking needs one).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
 
 // fnv64str hashes a composite key string (FNV-1a).
 func fnv64str(s string) uint64 {
@@ -103,7 +59,7 @@ type joinPartition struct {
 //
 // Each morsel covers a contiguous global row range and buckets are
 // concatenated in morsel order, so every partition keeps ascending global
-// row order — the invariant mergePairSets needs to reproduce serial output.
+// row order — the invariant mergePairSets needs to reproduce P = 1 output.
 func partitionKeysOverTable(ctx *ExecContext, t *storage.Table, keys []expression.Expression, parts int) ([]joinPartition, types.PosList, error) {
 	chunks := t.Chunks()
 	// base[ci] is the global row index of chunk ci's first row.
@@ -116,7 +72,7 @@ func partitionKeysOverTable(ctx *ExecContext, t *storage.Table, keys []expressio
 	rows := make(types.PosList, total)
 	mask := uint64(parts - 1)
 
-	morsels := morselRanges(chunks, ctx.morselTargetRows())
+	morsels := morselRanges(chunks, parts)
 	type morselBuckets struct {
 		keys [][]string
 		idx  [][]int32
@@ -128,6 +84,14 @@ func partitionKeysOverTable(ctx *ExecContext, t *storage.Table, keys []expressio
 		mi, m := mi, m
 		jobs[mi] = func() {
 			b := morselBuckets{keys: make([][]string, parts), idx: make([][]int32, parts)}
+			n := 0
+			for ci := m.lo; ci < m.hi; ci++ {
+				n += chunks[ci].Size()
+			}
+			for p := range b.keys {
+				b.keys[p] = make([]string, 0, n/parts)
+				b.idx[p] = make([]int32, 0, n/parts)
+			}
 			var sb strings.Builder
 			tuple := make([]types.Value, len(keys))
 			for ci := m.lo; ci < m.hi; ci++ {
@@ -163,7 +127,10 @@ func partitionKeysOverTable(ctx *ExecContext, t *storage.Table, keys []expressio
 					if !ok {
 						continue
 					}
-					p := fnv64str(k) & mask
+					p := uint64(0)
+					if mask != 0 {
+						p = fnv64str(k) & mask
+					}
 					b.keys[p] = append(b.keys[p], k)
 					b.idx[p] = append(b.idx[p], int32(gi))
 				}
@@ -181,9 +148,15 @@ func partitionKeysOverTable(ctx *ExecContext, t *storage.Table, keys []expressio
 		}
 	}
 
+	out := make([]joinPartition, parts)
+	if len(buckets) == 1 {
+		for p := range out {
+			out[p] = joinPartition{keys: buckets[0].keys[p], idx: buckets[0].idx[p]}
+		}
+		return out, rows, nil
+	}
 	// Concatenate the morsel buckets per partition, in morsel order, so each
 	// partition keeps ascending global row order.
-	out := make([]joinPartition, parts)
 	concat := make([]func(), parts)
 	for p := 0; p < parts; p++ {
 		p := p
@@ -212,8 +185,9 @@ func partitionKeysOverTable(ctx *ExecContext, t *storage.Table, keys []expressio
 }
 
 // radixJoinPairs runs the partitioned build+probe over pre-partitioned sides
-// and returns the candidate pairs in serial probe order.
-func radixJoinPairs(ctx *ExecContext, j *HashJoin, build, probe []joinPartition, leftRows, rightRows types.PosList, parts int) (pairSet, error) {
+// and returns the candidate pairs in global probe order.
+func radixJoinPairs(ctx *ExecContext, j *HashJoin, build, probe []joinPartition, leftRows, rightRows types.PosList) (pairSet, error) {
+	parts := len(build)
 	results := make([]pairSet, parts)
 	var buildNS, probeNS atomic.Int64
 	jobs := make([]func(), parts)
@@ -249,13 +223,16 @@ func radixJoinPairs(ctx *ExecContext, j *HashJoin, build, probe []joinPartition,
 		return pairSet{}, err
 	}
 	ctx.noteJoinPhases(j, parts, buildNS.Load(), probeNS.Load())
+	if parts == 1 {
+		return results[0], nil
+	}
 	return mergePairSets(results), nil
 }
 
 // mergePairSets concatenates per-partition pairs and restores global probe
 // order. Each partition's pairs are already ascending in leftIdx and every
 // left row lives in exactly one partition, so a stable sort by leftIdx
-// reproduces the serial pair sequence exactly.
+// reproduces the single-partition pair sequence exactly.
 func mergePairSets(results []pairSet) pairSet {
 	total := 0
 	for i := range results {

@@ -8,79 +8,90 @@ import (
 	"hyrise/internal/storage"
 )
 
-// This file implements the cost gate for morsel-driven intra-operator
-// parallelism (paper §2.9): scans and sorts split their input into morsels —
-// fixed-size runs of consecutive chunks — dispatched as scheduler tasks. The
-// serial-vs-parallel decision is not a fixed row-count switch: the scan gate
-// estimates its output cardinality as rows × selectivity from the
-// statistics histograms, so a highly selective scan over a large table still
-// parallelizes (the rows must be visited either way) while a small or
-// cheaply-pruned input skips the task-dispatch overhead.
-
-// ParallelStrategy selects how an operator chooses between its serial and
-// morsel-parallel execution paths.
-type ParallelStrategy uint8
-
-// Parallel strategies.
-const (
-	// ParallelAuto parallelizes when a multi-worker scheduler is available
-	// and the estimator-based cost model clears the threshold.
-	ParallelAuto ParallelStrategy = iota
-	// ParallelSerial always runs the single-threaded path.
-	ParallelSerial
-	// ParallelForce always runs the morsel-parallel path (under an inline
-	// scheduler the morsel tasks just run sequentially) — tests, benches.
-	ParallelForce
-)
-
-// String names the strategy.
-func (s ParallelStrategy) String() string {
-	switch s {
-	case ParallelSerial:
-		return "serial"
-	case ParallelForce:
-		return "parallel"
-	default:
-		return "auto"
-	}
-}
+// This file holds the one parallelism rule of the physical operators (paper
+// §2.2 and §2.9: chunks are the built-in partitioning, and work runs as
+// scheduler tasks). Each operator has a single kernel that takes a width —
+// scan morsels, join partitions, merge shards, sort runs — and fanOut picks
+// that width from the operator's estimated work. Width 1 is serial execution;
+// there is no separate serial path.
 
 const (
-	// defaultScanParallelThreshold is the estimated scan cost (rows ×
-	// selectivity, floored — see scanSelectivityFloor) at which the auto
-	// strategy goes parallel.
-	defaultScanParallelThreshold = 16384
-	// defaultSortParallelThreshold is the input row count at which the auto
-	// strategy sorts per-morsel runs in parallel.
-	defaultSortParallelThreshold = 32768
-	// defaultMorselRows is the row budget of one scan morsel: consecutive
-	// chunks are coalesced until the budget fills, so many small chunks
-	// become one task while a large chunk stays its own morsel.
-	defaultMorselRows = 65536
-	// scanSelectivityFloor bounds the selectivity used by the cost model
+	// parallelWork is the estimated work (rows touched) at which an operator
+	// fans out: below it, task dispatch and the split/merge steps cost more
+	// than they save.
+	parallelWork = 16384
+	// maxFanOut caps the width; beyond it per-partition fixed costs (map
+	// allocation, task scheduling) dominate.
+	maxFanOut = 256
+	// scanSelectivityFloor bounds the selectivity in a scan's work estimate
 	// from below: even a point lookup must visit every row of an unpruned
 	// segment, so per-row scan cost never drops to zero with the estimate.
 	scanSelectivityFloor = 1.0 / 16
 )
 
-// morsel is a run of consecutive chunks scanned by one task.
+// workers is how many tasks can run at once: the scheduler's worker count,
+// and at least 2 under ForceParallel.
+func (ctx *ExecContext) workers() int {
+	w := 1
+	if ctx.Scheduler != nil {
+		w = ctx.Scheduler.WorkerCount()
+	}
+	if ctx.ForceParallel && w < 2 {
+		w = 2
+	}
+	return w
+}
+
+// fanOut is the parallelism rule. It returns 1 unless more than one worker
+// can run and the estimated work reaches parallelWork (ForceParallel skips
+// the work test). Otherwise it returns the worker count rounded up to a power
+// of two — hash partitions and merge shards select by masking — capped at
+// maxFanOut. The estimated work is rows × max(selectivity, 1/16) for a scan,
+// build + probe rows for a join, partial groups for an aggregate merge, and
+// input rows for a sort.
+func (ctx *ExecContext) fanOut(work float64) int {
+	w := ctx.workers()
+	if w <= 1 || (!ctx.ForceParallel && work < parallelWork) {
+		return 1
+	}
+	return min(nextPow2(w), maxFanOut)
+}
+
+// nextPow2 rounds n up to a power of two.
+func nextPow2(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
+}
+
+// morsel is a run of consecutive chunks processed by one task.
 type morsel struct {
 	lo, hi int // chunk index range [lo, hi)
 }
 
-// morselRanges coalesces the chunk list into morsels of about targetRows
-// rows. Every chunk lands in exactly one morsel and morsels cover chunks in
-// order, so per-chunk outputs keep their slots and the merged result is
-// bit-for-bit equal to a serial scan.
-func morselRanges(chunks []*storage.Chunk, targetRows int) []morsel {
-	if targetRows <= 0 {
-		targetRows = defaultMorselRows
+// morselRanges splits the chunk list into about parts morsels of similar row
+// counts; parts = 1 yields a single morsel. Every chunk lands in exactly one
+// morsel and morsels cover chunks in order, so per-chunk outputs keep their
+// slots and the merged result does not depend on the width.
+func morselRanges(chunks []*storage.Chunk, parts int) []morsel {
+	if len(chunks) == 0 {
+		return nil
 	}
+	if parts <= 1 {
+		return []morsel{{lo: 0, hi: len(chunks)}}
+	}
+	total := 0
+	for _, c := range chunks {
+		total += c.Size()
+	}
+	target := max((total+parts-1)/parts, 1)
 	var out []morsel
 	lo, acc := 0, 0
 	for ci, c := range chunks {
 		acc += c.Size()
-		if acc >= targetRows {
+		if acc >= target {
 			out = append(out, morsel{lo: lo, hi: ci + 1})
 			lo, acc = ci+1, 0
 		}
@@ -91,19 +102,11 @@ func morselRanges(chunks []*storage.Chunk, targetRows int) []morsel {
 	return out
 }
 
-// morselTargetRows resolves the configured morsel row budget.
-func (ctx *ExecContext) morselTargetRows() int {
-	if n := ctx.Parallel.ScanMorselRows; n > 0 {
-		return n
-	}
-	return defaultMorselRows
-}
-
 // estimateScanSelectivity estimates the fraction of rows a simple predicate
 // keeps, from the table's cached histograms. Returns 1 (no reduction) when
 // no statistics are available, the predicate is not simple, or the shape is
-// not estimable — the gate then falls back to raw row count, which is the
-// conservative direction (more parallelism, never less correctness).
+// not estimable — the rule then falls back to the raw row count, which is
+// the conservative direction (more parallelism, never less correctness).
 func (ctx *ExecContext) estimateScanSelectivity(input *storage.Table, simple *simplePredicate) float64 {
 	if simple == nil || ctx.Estimator == nil {
 		return 1
@@ -137,105 +140,40 @@ func (ctx *ExecContext) estimateScanSelectivity(input *storage.Table, simple *si
 	return 1
 }
 
-// decideScanParallel is the scan's cost gate: it returns whether to dispatch
-// morsels to the scheduler and the estimated qualifying rows that informed
-// the decision (-1 when no estimate was made because the strategy forced the
-// choice).
-func (ctx *ExecContext) decideScanParallel(input *storage.Table, simple *simplePredicate) (parallel bool, estRows int64) {
-	switch ctx.Parallel.ScanStrategy {
-	case ParallelSerial:
-		return false, -1
-	case ParallelForce:
-		return true, -1
+// scanFanOut applies the rule to a scan: work is rows × selectivity, floored
+// at scanSelectivityFloor. It also returns the estimated qualifying rows
+// (-1 when no estimate was made because only one worker can run).
+func (ctx *ExecContext) scanFanOut(input *storage.Table, simple *simplePredicate) (parts int, estRows int64) {
+	if ctx.workers() <= 1 {
+		return 1, -1
 	}
-	if ctx.Scheduler == nil || ctx.Scheduler.WorkerCount() <= 1 {
-		return false, -1
-	}
-	total := input.RowCount()
-	if total == 0 {
-		return false, 0
-	}
-	threshold := ctx.Parallel.ScanParallelThreshold
-	if threshold == 0 {
-		threshold = defaultScanParallelThreshold
-	}
-	if threshold < 0 {
-		return false, -1
-	}
+	total := float64(input.RowCount())
 	sel := ctx.estimateScanSelectivity(input, simple)
-	estRows = int64(float64(total) * sel)
-	cost := float64(total) * maxFloat(sel, scanSelectivityFloor)
-	return cost >= float64(threshold), estRows
+	return ctx.fanOut(total * max(sel, scanSelectivityFloor)), int64(total * sel)
 }
 
-// decideSortParallel is the sort's cost gate: run-splitting only amortizes
-// when the input is large enough to dominate the k-way merge overhead.
-func (ctx *ExecContext) decideSortParallel(totalRows int) bool {
-	switch ctx.Parallel.SortStrategy {
-	case ParallelSerial:
-		return false
-	case ParallelForce:
-		return totalRows > 1
-	}
-	if ctx.Scheduler == nil || ctx.Scheduler.WorkerCount() <= 1 {
-		return false
-	}
-	threshold := ctx.Parallel.SortParallelThreshold
-	if threshold == 0 {
-		threshold = defaultSortParallelThreshold
-	}
-	if threshold < 0 {
-		return false
-	}
-	return totalRows >= threshold
-}
-
-// parallelWorkers returns how many concurrent tasks are worth dispatching
-// (the scheduler's worker count, at least 2 so forced-parallel paths still
-// exercise their split/merge logic under an inline scheduler).
-func (ctx *ExecContext) parallelWorkers() int {
-	w := 1
-	if ctx.Scheduler != nil {
-		w = ctx.Scheduler.WorkerCount()
-	}
-	if w < 2 {
-		w = 2
-	}
-	return w
-}
-
-// noteScanParallel files a morsel scan's fan-out and wall time into the
-// metrics registry and the trace span, so EXPLAIN ANALYZE shows both the
-// decision and its cost. estRows < 0 means "no estimate" (forced strategy).
-func (ctx *ExecContext) noteScanParallel(op Operator, morsels int, wallNS, estRows int64) {
-	if m := ctx.Metrics; m != nil {
+// noteScanMorsels files a scan's morsel count, the wall time of a fanned-out
+// scan, and the estimate behind the decision. The scan.morsels metric counts
+// only real fan-out (more than one morsel).
+func (ctx *ExecContext) noteScanMorsels(op Operator, morsels int, wallNS, estRows int64) {
+	if m := ctx.Metrics; m != nil && morsels > 1 {
 		m.ScanMorsels.Add(int64(morsels))
 		m.ScanParallelNS.Add(wallNS)
 	}
 	if tr := ctx.Trace; tr != nil {
 		tr.AddOpAttr(op, "morsels", int64(morsels))
-		tr.AddOpAttr(op, "parallel_ns", wallNS)
+		if morsels > 1 {
+			tr.AddOpAttr(op, "parallel_ns", wallNS)
+		}
 		if estRows >= 0 {
 			tr.AddOpAttr(op, "est_rows", estRows)
 		}
 	}
 }
 
-// noteScanSerial records a serial-path decision on the trace (auto strategy
-// chose not to parallelize); metrics stay untouched so scan.morsels counts
-// only real fan-out.
-func (ctx *ExecContext) noteScanSerial(op Operator, estRows int64) {
-	if tr := ctx.Trace; tr != nil {
-		tr.AddOpAttr(op, "morsels", 1)
-		if estRows >= 0 {
-			tr.AddOpAttr(op, "est_rows", estRows)
-		}
-	}
-}
-
-// noteSortParallel files a parallel sort's run count and wall time spent in
-// the parallel phase (run sorting + k-way merge).
-func (ctx *ExecContext) noteSortParallel(op Operator, runs int, wallNS int64) {
+// noteSortRuns files a fanned-out sort's run count and the wall time of its
+// run sorting plus k-way merge.
+func (ctx *ExecContext) noteSortRuns(op Operator, runs int, wallNS int64) {
 	if m := ctx.Metrics; m != nil {
 		m.SortRuns.Add(int64(runs))
 		m.SortParallelNS.Add(wallNS)
@@ -246,16 +184,16 @@ func (ctx *ExecContext) noteSortParallel(op Operator, runs int, wallNS int64) {
 	}
 }
 
-// scanWallClock starts a wall-clock measurement only when someone will read
-// it (metrics or trace attached).
-func (ctx *ExecContext) scanWallClock() time.Time {
+// wallClock starts a wall-clock measurement only when someone will read it
+// (metrics or trace attached).
+func (ctx *ExecContext) wallClock() time.Time {
 	if ctx.Metrics == nil && ctx.Trace == nil {
 		return time.Time{}
 	}
 	return time.Now()
 }
 
-// sinceNS is time.Since tolerating the zero start scanWallClock returns.
+// sinceNS is time.Since tolerating the zero start wallClock returns.
 func sinceNS(t0 time.Time) int64 {
 	if t0.IsZero() {
 		return 0
@@ -263,14 +201,7 @@ func sinceNS(t0 time.Time) int64 {
 	return time.Since(t0).Nanoseconds()
 }
 
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Estimator is the narrow statistics hook operators use for cost gating:
-// it returns cached table statistics (nil when none have been built yet).
+// Estimator is the narrow statistics hook the scan's work estimate uses: it
+// returns cached table statistics (nil when none have been built yet).
 // Wired by the pipeline to the engine's statistics cache.
 type Estimator func(t *storage.Table) *statistics.TableStatistics

@@ -14,19 +14,17 @@ import (
 	"hyrise/internal/types"
 )
 
-// Differential harness for the morsel-parallel scan and parallel sort: every
-// dataset × predicate/keys combination runs once serially and once with the
-// strategy forced parallel on a real multi-worker scheduler, and the outputs
-// must be bit-for-bit equal — same rows, same order. Run under -race this
-// also shakes out data races in the disjoint-slot writes.
+// Differential harness for the morsel scan and the run-split sort: every
+// dataset × predicate/keys combination runs once with fan-out 1 and once
+// with ForceParallel on a real multi-worker scheduler, and the outputs must
+// be bit-for-bit equal — same rows, same order. Run under -race this also
+// shakes out data races in the disjoint-slot writes.
 
-// parallelCtx builds an ExecContext forced onto the parallel path with tiny
-// morsels, so even small fixtures fan out across several tasks.
+// parallelCtx builds an ExecContext with ForceParallel on a scheduler, so
+// even small fixtures fan out across several tasks.
 func parallelCtx(sm *storage.StorageManager, sched scheduler.Scheduler) *ExecContext {
 	ctx := NewExecContext(sm, sched, nil)
-	ctx.Parallel.ScanStrategy = ParallelForce
-	ctx.Parallel.SortStrategy = ParallelForce
-	ctx.Parallel.ScanMorselRows = 7 // coalesces a few 5-row chunks per morsel
+	ctx.ForceParallel = true
 	return ctx
 }
 
@@ -89,7 +87,6 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 		for name, pred := range scanPredicates() {
 			t.Run(table.Name()+"/"+name, func(t *testing.T) {
 				sctx := NewExecContext(sm, nil, nil)
-				sctx.Parallel.ScanStrategy = ParallelSerial
 				serial, err := Execute(NewTableScan(&GetTable{TableName: table.Name()}, pred), sctx)
 				if err != nil {
 					t.Fatal(err)
@@ -125,7 +122,6 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 		for name, keys := range keySets {
 			t.Run(table.Name()+"/"+name, func(t *testing.T) {
 				sctx := NewExecContext(sm, nil, nil)
-				sctx.Parallel.SortStrategy = ParallelSerial
 				serial, err := Execute(NewSort(&GetTable{TableName: table.Name()}, keys), sctx)
 				if err != nil {
 					t.Fatal(err)
@@ -189,23 +185,18 @@ func TestParallelScanCancellation(t *testing.T) {
 	})
 }
 
-// TestScanParallelDecision exercises the estimator cost gate: the auto
-// strategy must weigh rows × selectivity against the threshold, not a bare
-// row count.
+// TestScanParallelDecision exercises the parallelism rule as the scan applies
+// it: the work is rows × selectivity (floored at 1/16), not a bare row count.
 func TestScanParallelDecision(t *testing.T) {
 	sm := storage.NewStorageManager()
-	table := numbersTable(t, sm, 64, 2_000)
+	table := numbersTable(t, sm, 1024, 20_000)
 	sched := scheduler.NewNodeQueueScheduler(1, 4)
 	defer sched.Shutdown()
 	cache := statistics.NewCache(statistics.EqualHeight)
-	cache.Get(table) // build once; the gate only ever Peeks
+	cache.Get(table) // build once; the rule only ever Peeks
 
-	newAuto := func(threshold int) *ExecContext {
-		ctx := NewExecContext(sm, sched, nil)
-		ctx.Parallel.ScanParallelThreshold = threshold
-		ctx.Estimator = cache.Peek
-		return ctx
-	}
+	ctx := NewExecContext(sm, sched, nil)
+	ctx.Estimator = cache.Peek
 	selective := analyzeSimplePredicate(eq(col(0), lit(types.Int(3))), nil)
 	wide := analyzeSimplePredicate(
 		&expression.Comparison{Op: expression.Ge, Left: col(0), Right: lit(types.Int(0))}, nil)
@@ -213,19 +204,21 @@ func TestScanParallelDecision(t *testing.T) {
 		t.Fatal("predicates not recognized as simple")
 	}
 
-	if got, _ := newAuto(1_000).decideScanParallel(table, wide); !got {
-		t.Fatal("wide predicate over threshold: want parallel")
+	if parts, est := ctx.scanFanOut(table, wide); parts != 4 || est < parallelWork {
+		t.Fatalf("wide predicate over 20000 rows: parts = %d, est_rows = %d; want 4 parts", parts, est)
 	}
-	// ~1/2000 selectivity floors at 1/16: 2000 * 1/16 = 125 < 1000.
-	if got, _ := newAuto(1_000).decideScanParallel(table, selective); got {
-		t.Fatal("selective predicate under threshold: want serial")
+	// ~1/20000 selectivity floors at 1/16: 20000 * 1/16 = 1250 < 16384.
+	if parts, _ := ctx.scanFanOut(table, selective); parts != 1 {
+		t.Fatalf("selective predicate: parts = %d, want 1", parts)
 	}
-	if got, _ := newAuto(-1).decideScanParallel(table, wide); got {
-		t.Fatal("negative threshold: want serial always")
+	ctx.Scheduler = nil
+	if parts, est := ctx.scanFanOut(table, wide); parts != 1 || est != -1 {
+		t.Fatalf("no scheduler: parts = %d, est_rows = %d; want 1 part and no estimate", parts, est)
 	}
-	serialCtx := newAuto(1_000)
-	serialCtx.Scheduler = nil
-	if got, _ := serialCtx.decideScanParallel(table, wide); got {
-		t.Fatal("no scheduler: want serial")
+	if got := len(morselRanges(table.Chunks(), 4)); got != 4 {
+		t.Fatalf("20 chunks in 4 parts: %d morsels, want 4", got)
+	}
+	if got := len(morselRanges(table.Chunks(), 1)); got != 1 {
+		t.Fatalf("20 chunks in 1 part: %d morsels, want 1", got)
 	}
 }

@@ -43,21 +43,25 @@ func (op *Sort) Name() string {
 // Inputs implements Operator.
 func (op *Sort) Inputs() []Operator { return []Operator{op.input} }
 
-// Run implements Operator. Above the cost gate (decideSortParallel), key
-// materialization runs chunk-parallel, the permutation is split into
-// contiguous runs sorted concurrently, and a k-way merge combines them.
-// Each run covers a contiguous range of ascending global row indices and
-// the merge breaks key ties toward the earlier run, so the merged order is
-// exactly what one stable sort over the whole input produces — parallel and
-// serial outputs are bit-for-bit equal.
+// Run implements Operator. The parallelism rule (fanOut over the input rows)
+// picks the number of runs: key materialization runs one task per morsel,
+// the permutation is split into that many contiguous runs sorted
+// concurrently, and a k-way merge combines them. Each run covers a
+// contiguous range of ascending global row indices and the merge breaks key
+// ties toward the earlier run, so the merged order is exactly what one
+// stable sort over the whole input produces, for every run count.
 func (op *Sort) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, error) {
 	input := inputs[0]
 	chunks := input.Chunks()
 	total := input.RowCount()
-	parallel := ctx.decideSortParallel(total)
+	runs := min(ctx.fanOut(float64(total)), max(total, 1))
+	var t0 time.Time
+	if runs > 1 {
+		t0 = ctx.wallClock()
+	}
 
 	// Materialize the key vectors column-major into fixed per-chunk slots
-	// (disjoint ranges, so chunks may fill concurrently).
+	// (disjoint ranges, so morsels may fill concurrently).
 	base := make([]int, len(chunks))
 	n := 0
 	for ci, c := range chunks {
@@ -91,27 +95,22 @@ func (op *Sort) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, 
 			rows[base[ci]+o] = types.RowID{Chunk: types.ChunkID(ci), Offset: types.ChunkOffset(o)}
 		}
 	}
-
-	var t0 time.Time
-	if parallel {
-		t0 = ctx.scanWallClock()
-		jobs := make([]func(), len(chunks))
-		for ci, c := range chunks {
-			ci, c := ci, c
-			jobs[ci] = func() { fillChunk(ci, c) }
-		}
-		ctx.runJobs(jobs)
-	} else {
-		// Key materialization honors cancellation at chunk granularity; the
-		// in-memory sort below is not interruptible but operates on already
-		// materialized keys only.
-		for ci, c := range chunks {
-			if ctx.Err() != nil {
-				break
+	morsels := morselRanges(chunks, runs)
+	jobs := make([]func(), len(morsels))
+	for mi, m := range morsels {
+		jobs[mi] = func() {
+			// Key materialization honors cancellation at chunk granularity;
+			// the in-memory run sort is not interruptible but operates on
+			// already materialized keys only.
+			for ci := m.lo; ci < m.hi; ci++ {
+				if ctx.Err() != nil {
+					return
+				}
+				fillChunk(ci, chunks[ci])
 			}
-			fillChunk(ci, c)
 		}
 	}
+	ctx.runJobs(jobs)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -141,13 +140,11 @@ func (op *Sort) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, 
 	for i := range perm {
 		perm[i] = i
 	}
-	if parallel && total > 1 {
-		if err := op.sortParallel(ctx, perm, keyLess); err != nil {
-			return nil, err
-		}
-		ctx.noteSortParallel(op, sortRunCount(total, ctx.parallelWorkers()), sinceNS(t0))
-	} else {
-		sort.SliceStable(perm, func(a, b int) bool { return keyLess(perm[a], perm[b]) })
+	if err := op.sortRuns(ctx, perm, runs, keyLess); err != nil {
+		return nil, err
+	}
+	if runs > 1 {
+		ctx.noteSortRuns(op, runs, sinceNS(t0))
 	}
 
 	sorted := make(types.PosList, total)
@@ -161,23 +158,18 @@ func (op *Sort) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, 
 // checks.
 const sortMergeCancelStride = 4096
 
-// sortRunCount decides how many runs to split totalRows into (one per
-// scheduler worker, never more runs than rows).
-func sortRunCount(totalRows, workers int) int {
-	if workers > totalRows {
-		return totalRows
-	}
-	return workers
-}
-
-// sortParallel stable-sorts perm (an identity permutation over contiguous
-// global row indices) by splitting it into contiguous runs, sorting them
+// sortRuns stable-sorts perm (an identity permutation over contiguous global
+// row indices) by splitting it into nRuns contiguous runs, sorting them
 // concurrently, and k-way merging the sorted runs. Because the runs
 // partition the index space in ascending order, within-run stability plus
-// an earlier-run-wins tie-break reproduces sort.SliceStable's output.
-func (op *Sort) sortParallel(ctx *ExecContext, perm []int, keyLess func(a, b int) bool) error {
+// an earlier-run-wins tie-break reproduces sort.SliceStable's output. One run
+// is a plain stable sort with no merge.
+func (op *Sort) sortRuns(ctx *ExecContext, perm []int, nRuns int, keyLess func(a, b int) bool) error {
+	if nRuns <= 1 {
+		sort.SliceStable(perm, func(a, b int) bool { return keyLess(perm[a], perm[b]) })
+		return nil
+	}
 	total := len(perm)
-	nRuns := sortRunCount(total, ctx.parallelWorkers())
 	runSize := (total + nRuns - 1) / nRuns
 	type runRange struct{ lo, hi int }
 	runs := make([]runRange, 0, nRuns)
@@ -187,7 +179,6 @@ func (op *Sort) sortParallel(ctx *ExecContext, perm []int, keyLess func(a, b int
 
 	jobs := make([]func(), len(runs))
 	for ri, r := range runs {
-		r := r
 		jobs[ri] = func() {
 			seg := perm[r.lo:r.hi]
 			sort.SliceStable(seg, func(a, b int) bool { return keyLess(seg[a], seg[b]) })

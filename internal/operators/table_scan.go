@@ -2,6 +2,7 @@ package operators
 
 import (
 	"sort"
+	"time"
 
 	"hyrise/internal/encoding"
 	"hyrise/internal/expression"
@@ -34,12 +35,11 @@ func (op *TableScan) Name() string { return "TableScan(" + op.Predicate.String()
 func (op *TableScan) Inputs() []Operator { return []Operator{op.input} }
 
 // Run implements Operator: the chunk list is split into morsels (runs of
-// consecutive chunks, see morselRanges) and each morsel runs the prune →
-// encoded-scan → typed-scan ladder as one scheduler task. Per-chunk position
-// lists land in fixed slots and merge in chunk order, so the output is
-// bit-for-bit equal to a serial scan. The estimator cost gate
-// (decideScanParallel) picks serial execution when the fan-out would not
-// amortize.
+// consecutive chunks, see morselRanges), as many as the parallelism rule
+// (scanFanOut) allows, and each morsel runs the prune → encoded-scan →
+// typed-scan ladder as one scheduler task. Per-chunk position lists land in
+// fixed slots and merge in chunk order, so the output does not depend on the
+// number of morsels.
 func (op *TableScan) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, error) {
 	input := inputs[0]
 	chunks := input.Chunks()
@@ -50,8 +50,7 @@ func (op *TableScan) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Ta
 	cell := ctx.scanStatsCell(input, simple)
 	point := simple != nil && simple.pred.Op.IsPoint()
 
-	// scanChunk is the per-chunk scan ladder; morsel tasks and the serial
-	// loop share it, so both paths compute identical position lists.
+	// scanChunk is the per-chunk scan ladder every morsel task runs.
 	scanChunk := func(ci int, c *storage.Chunk) {
 		n := c.Size()
 		if n == 0 {
@@ -88,33 +87,26 @@ func (op *TableScan) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Ta
 		}
 	}
 
-	if parallel, estRows := ctx.decideScanParallel(input, simple); parallel {
-		morsels := morselRanges(chunks, ctx.morselTargetRows())
-		t0 := ctx.scanWallClock()
-		jobs := make([]func(), len(morsels))
-		for mi, m := range morsels {
-			m := m
-			jobs[mi] = func() {
-				for ci := m.lo; ci < m.hi; ci++ {
-					// Chunk-granular cancellation inside a running morsel.
-					if ctx.Err() != nil {
-						return
-					}
-					scanChunk(ci, chunks[ci])
+	parts, estRows := ctx.scanFanOut(input, simple)
+	morsels := morselRanges(chunks, parts)
+	var t0 time.Time
+	if len(morsels) > 1 {
+		t0 = ctx.wallClock()
+	}
+	jobs := make([]func(), len(morsels))
+	for mi, m := range morsels {
+		jobs[mi] = func() {
+			for ci := m.lo; ci < m.hi; ci++ {
+				// Chunk-granular cancellation inside a running morsel.
+				if ctx.Err() != nil {
+					return
 				}
+				scanChunk(ci, chunks[ci])
 			}
-		}
-		ctx.runJobs(jobs)
-		ctx.noteScanParallel(op, len(morsels), sinceNS(t0), estRows)
-	} else {
-		ctx.noteScanSerial(op, estRows)
-		for ci, c := range chunks {
-			if ctx.Err() != nil {
-				break
-			}
-			scanChunk(ci, c)
 		}
 	}
+	ctx.runJobs(jobs)
+	ctx.noteScanMorsels(op, len(morsels), sinceNS(t0), estRows)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

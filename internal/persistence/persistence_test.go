@@ -1,6 +1,7 @@
 package persistence
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -173,6 +174,61 @@ func TestUncommittedInvisibleAfterRecovery(t *testing.T) {
 	rows := visibleRows(tm2, got)
 	if len(rows) != 1 || rows[0][0].I != 1 {
 		t.Fatalf("uncommitted row leaked into recovery: %v", rows)
+	}
+}
+
+// TestRecoveryOutOfOrderCommits interleaves the appends of two transactions
+// (and one that never commits) across a chunk boundary, commits them in
+// reverse order, and checks that recovery restores every committed row with
+// its own values: the later committer's rows land in placeholders the
+// earlier committer's replay padded in.
+func TestRecoveryOutOfOrderCommits(t *testing.T) {
+	dir := t.TempDir()
+	sm, tm, m := openTestManager(t, dir, SyncOff)
+	table := storage.NewTable("t", testDefs(), 3, true)
+	if err := sm.AddTable(table); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LogCreateTable(table); err != nil {
+		t.Fatal(err)
+	}
+	first, second, ghost := tm.New(), tm.New(), tm.New()
+	row := func(id int64) []types.Value {
+		return []types.Value{types.Int(id), types.Str(fmt.Sprintf("r%d", id)), types.Float(float64(id) / 2)}
+	}
+	// Slots: (0,0) first, (0,1) second, (0,2) first, (1,0) ghost,
+	// (1,1) second, (1,2) first.
+	for i, tx := range []*concurrency.TransactionContext{first, second, first, ghost, second, first} {
+		vals := row(int64(i + 1))
+		rid, err := table.AppendRow(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx.RegisterInsert(table.GetChunk(rid.Chunk), rid.Offset)
+		tx.LogInsert("t", rid, vals)
+	}
+	if err := second.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := visibleRows(tm, table)
+	if len(want) != 5 {
+		t.Fatalf("before recovery: %d visible rows, want 5", len(want))
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sm2, tm2, m2 := openTestManager(t, dir, SyncOff)
+	defer m2.Close()
+	got, err := sm2.GetTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := visibleRows(tm2, got); !rowsEqual(rows, want) {
+		t.Fatalf("recovered rows %v, want %v", rows, want)
 	}
 }
 

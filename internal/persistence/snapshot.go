@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 
 	"hyrise/internal/encoding"
 	"hyrise/internal/storage"
@@ -154,8 +156,7 @@ func encodeChunk(w *writer, c *storage.Chunk) error {
 
 // readSnapshot loads the snapshot file into the (empty) storage manager and
 // returns the WAL cut it was taken at. A missing file returns (0, 0, nil).
-// workers bounds the parallel chunk-decode fan-out (1 = serial).
-func readSnapshot(path string, sm *storage.StorageManager, workers int) (lsn int64, lastCID types.CommitID, err error) {
+func readSnapshot(path string, sm *storage.StorageManager) (lsn int64, lastCID types.CommitID, err error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -163,7 +164,7 @@ func readSnapshot(path string, sm *storage.StorageManager, workers int) (lsn int
 		}
 		return 0, 0, err
 	}
-	lsn, lastCID, err = DecodeSnapshotWorkers(buf, sm, workers)
+	lsn, lastCID, err = DecodeSnapshot(buf, sm)
 	if err != nil {
 		return 0, 0, fmt.Errorf("persistence: snapshot %s: %w", path, err)
 	}
@@ -173,16 +174,16 @@ func readSnapshot(path string, sm *storage.StorageManager, workers int) (lsn int
 // DecodeSnapshot loads serialized snapshot bytes — a snapshot file's exact
 // contents, or the stream a replication primary ships for bootstrap — into
 // the (empty) storage manager and returns the WAL cut they were taken at.
-// Chunk decode runs with one worker per CPU; use DecodeSnapshotWorkers to
-// control the fan-out.
+// Chunk decode runs with one worker per GOMAXPROCS; use
+// DecodeSnapshotWorkers to control the fan-out.
 func DecodeSnapshot(buf []byte, sm *storage.StorageManager) (lsn int64, lastCID types.CommitID, err error) {
-	return DecodeSnapshotWorkers(buf, sm, 0)
+	return DecodeSnapshotWorkers(buf, sm, runtime.GOMAXPROCS(0))
 }
 
-// DecodeSnapshotWorkers is DecodeSnapshot with an explicit worker budget for
-// the parallel chunk decode (0 = one per CPU, <= 1 after resolution = serial).
-// Only v2 snapshots (length-prefixed chunk bodies) decode in parallel; v1
-// images always decode sequentially.
+// DecodeSnapshotWorkers is DecodeSnapshot with an explicit worker count for
+// the parallel chunk decode (<= 1 decodes serially). Only v2 snapshots
+// (length-prefixed chunk bodies) decode in parallel; v1 images always decode
+// sequentially.
 func DecodeSnapshotWorkers(buf []byte, sm *storage.StorageManager, workers int) (lsn int64, lastCID types.CommitID, err error) {
 	if len(buf) < len(snapMagic)+4 {
 		return 0, 0, fmt.Errorf("not a snapshot image")
@@ -200,7 +201,6 @@ func DecodeSnapshotWorkers(buf []byte, sm *storage.StorageManager, workers int) 
 	if crc32.ChecksumIEEE(body) != wantCRC {
 		return 0, 0, fmt.Errorf("snapshot fails CRC check")
 	}
-	workers = resolveRecoveryWorkers(workers)
 
 	r := &reader{buf: body}
 	lsn = int64(r.uvarint())
@@ -414,4 +414,32 @@ func writeSnapshotFile(dir string, buf []byte) error {
 	}
 	syncDir(final)
 	return nil
+}
+
+// runParallel invokes fn(0..n-1) with at most workers goroutines in flight;
+// it is the HYSNAP02 per-chunk decode fan-out. Recovery runs before the
+// engine's scheduler exists, so it uses plain bounded goroutines rather than
+// scheduler tasks. workers <= 1 (or n <= 1) degrades to a plain serial loop.
+func runParallel(n, workers int, fn func(i int)) {
+	if workers <= 1 || n <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	if workers > n {
+		workers = n
+	}
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			fn(i)
+		}(i)
+	}
+	wg.Wait()
 }

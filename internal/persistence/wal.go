@@ -475,27 +475,12 @@ func lastSlash(s string) int {
 	return -1
 }
 
-// walReplayBatch is how many frames a parallel replay verifies and decodes
-// per round. Framing is inherently sequential (each frame's position depends
-// on the previous length field), so replay reads a batch of raw frames, fans
-// the CRC checks and payload decodes out across workers, then applies the
-// decoded records strictly in log order.
-const walReplayBatch = 256
-
 // replayWAL scans the log from LSN from, invoking apply for every decoded
 // record in order. It stops cleanly at a torn or truncated tail (short
 // frame, bad CRC, undecodable payload) and truncates the file back to the
 // last valid frame so appending can resume. It returns the end LSN of the
 // valid prefix.
 func replayWAL(path string, from int64, apply func(*record) error) (end int64, err error) {
-	return replayWALWorkers(path, from, 1, apply)
-}
-
-// replayWALWorkers is replayWAL with a worker budget for CRC verification
-// and record decoding (apply order and torn-tail semantics are identical for
-// every worker count: records apply in log order and the file truncates back
-// to the frame before the first bad one).
-func replayWALWorkers(path string, from int64, workers int, apply func(*record) error) (end int64, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -541,74 +526,37 @@ func replayWALWorkers(path string, from int64, workers int, apply func(*record) 
 	br := bufio.NewReaderSize(f, 1<<16)
 	lsn := from
 	goodFileOff := walHeaderLen + skip
-	if workers < 1 {
-		workers = 1
-	}
-	batchCap := 1
-	if workers > 1 {
-		batchCap = walReplayBatch
-	}
-	type walFrame struct {
-		payload []byte
-		wantCRC uint32
-		rec     *record
-		bad     bool
-	}
-	frames := make([]walFrame, 0, batchCap)
 	var hdr [frameHeader]byte
-	torn, eof := false, false
-	for !torn && !eof {
-		// Phase 1 (sequential): read a batch of raw frames off the file.
-		frames = frames[:0]
-		for len(frames) < batchCap {
-			if _, err := io.ReadFull(br, hdr[:]); err != nil {
-				eof = true // clean EOF or torn frame header
-				break
-			}
-			length := binary.LittleEndian.Uint32(hdr[:4])
-			wantCRC := binary.LittleEndian.Uint32(hdr[4:])
-			if length == 0 || length > maxRecordLen {
-				eof = true
-				break
-			}
-			payload := make([]byte, length)
-			if _, err := io.ReadFull(br, payload); err != nil {
-				eof = true // truncated payload
-				break
-			}
-			frames = append(frames, walFrame{payload: payload, wantCRC: wantCRC})
+	// One loop: read a frame, check its CRC, decode it, apply it. The first
+	// short, corrupt or undecodable frame ends the valid prefix.
+	for {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			break // clean EOF or torn frame header
 		}
-		// Phase 2 (parallel): verify CRCs and decode payloads.
-		runParallel(len(frames), workers, func(i int) {
-			fr := &frames[i]
-			if crc32.ChecksumIEEE(fr.payload) != fr.wantCRC {
-				fr.bad = true // torn write
-				return
-			}
-			rec, derr := decodeRecord(fr.payload)
-			if derr != nil {
-				fr.bad = true // CRC-valid but structurally corrupt
-				return
-			}
-			fr.rec = rec
-		})
-		// Phase 3 (sequential): apply in log order, stopping at the first bad
-		// frame — everything behind it is discarded, exactly as if the serial
-		// loop had hit it.
-		for i := range frames {
-			if frames[i].bad {
-				torn = true
-				break
-			}
-			if aerr := apply(frames[i].rec); aerr != nil {
-				// Semantic failure (e.g. insert into a missing table) means
-				// the snapshot/log pair is inconsistent; surface it instead
-				// of silently dropping committed data.
-				return 0, aerr
-			}
-			lsn += int64(frameHeader + len(frames[i].payload))
-			goodFileOff += int64(frameHeader + len(frames[i].payload))
+		length := binary.LittleEndian.Uint32(hdr[:4])
+		wantCRC := binary.LittleEndian.Uint32(hdr[4:])
+		if length == 0 || length > maxRecordLen {
+			break
 		}
+		payload := make([]byte, length)
+		if _, err := io.ReadFull(br, payload); err != nil {
+			break // truncated payload
+		}
+		if crc32.ChecksumIEEE(payload) != wantCRC {
+			break // torn write
+		}
+		rec, derr := decodeRecord(payload)
+		if derr != nil {
+			break // CRC-valid but structurally corrupt
+		}
+		if aerr := apply(rec); aerr != nil {
+			// Semantic failure (e.g. insert into a missing table) means the
+			// snapshot/log pair is inconsistent; surface it instead of
+			// silently dropping committed data.
+			return 0, aerr
+		}
+		lsn += int64(frameHeader + len(payload))
+		goodFileOff += int64(frameHeader + len(payload))
 	}
 	if goodFileOff < st.Size() {
 		if err := f.Truncate(goodFileOff); err != nil {

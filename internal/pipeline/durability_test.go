@@ -5,9 +5,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
+	"sync"
 	"testing"
 
 	"hyrise/internal/pipeline"
+	"hyrise/internal/tpcc"
 )
 
 // durableEngine opens an engine over dir with the WAL enabled. Sync mode
@@ -262,5 +265,91 @@ func TestCrashRecoveryAcrossCheckpoint(t *testing.T) {
 				t.Fatalf("cut %d: got %v\nwant %v", cut, got, states[last])
 			}
 		})
+	}
+}
+
+// tpccConsistency returns the violations of the TPC-C conditions the
+// benchmark checks after every pass: each district's d_next_o_id is one past
+// its highest order id, and the order lines match sum(o_ol_cnt).
+func tpccConsistency(t *testing.T, e *pipeline.Engine, districts int) []string {
+	t.Helper()
+	var bad []string
+	maxOID := map[string]string{}
+	for _, r := range queryRows(t, e, "SELECT o_w_id, o_d_id, max(o_id) FROM orders GROUP BY o_w_id, o_d_id") {
+		maxOID[r[0]+"/"+r[1]] = r[2]
+	}
+	rows := queryRows(t, e, "SELECT d_w_id, d_id, d_next_o_id FROM district")
+	if len(rows) != districts {
+		bad = append(bad, fmt.Sprintf("%d districts, want %d", len(rows), districts))
+	}
+	for _, r := range rows {
+		next, err := strconv.ParseInt(r[2], 10, 64)
+		if err != nil || maxOID[r[0]+"/"+r[1]] != strconv.FormatInt(next-1, 10) {
+			bad = append(bad, fmt.Sprintf("district %s/%s: d_next_o_id %s, max(o_id) %s", r[0], r[1], r[2], maxOID[r[0]+"/"+r[1]]))
+		}
+	}
+	lines := queryRows(t, e, "SELECT count(*) FROM order_line")
+	olCnt := queryRows(t, e, "SELECT sum(o_ol_cnt) FROM orders")
+	if lines[0][0] != olCnt[0][0] {
+		bad = append(bad, fmt.Sprintf("order_line count %s, sum(o_ol_cnt) %s", lines[0][0], olCnt[0][0]))
+	}
+	return bad
+}
+
+// TestRecoveryAfterConcurrentTPCC runs two TPC-C terminals concurrently, so
+// transactions commit in a different order than they appended rows, then
+// reopens the data directory: the recovered state must equal the state
+// before the restart and satisfy the TPC-C consistency conditions.
+func TestRecoveryAfterConcurrentTPCC(t *testing.T) {
+	dir := t.TempDir()
+	cfg := tpcc.SmallConfig()
+	districts := cfg.Warehouses * cfg.DistrictsPerWarehouse
+	e := durableEngine(t, dir)
+	if err := tpcc.Generate(e.StorageManager(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = tpcc.NewTerminal(e, cfg, int64(i+1)).Run(100)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("terminal %d: %v", i, err)
+		}
+	}
+	if bad := tpccConsistency(t, e, districts); len(bad) > 0 {
+		t.Fatalf("inconsistent before restart: %v", bad)
+	}
+	queries := []string{
+		"SELECT d_w_id, d_id, d_next_o_id, d_ytd FROM district ORDER BY d_w_id, d_id",
+		"SELECT count(*), sum(o_ol_cnt), sum(o_id) FROM orders",
+		"SELECT count(*), sum(ol_amount), sum(ol_i_id) FROM order_line",
+		"SELECT count(*), sum(h_amount) FROM history",
+		"SELECT count(*), sum(no_o_id) FROM new_order",
+	}
+	var want [][][]string
+	for _, q := range queries {
+		want = append(want, queryRows(t, e, q))
+	}
+	e.Close()
+
+	e2 := durableEngine(t, dir)
+	defer e2.Close()
+	if bad := tpccConsistency(t, e2, districts); len(bad) > 0 {
+		t.Fatalf("inconsistent after recovery: %v", bad)
+	}
+	for i, q := range queries {
+		if got := queryRows(t, e2, q); !rowsMatch(got, want[i]) {
+			t.Errorf("%s after recovery:\ngot:  %v\nwant: %v", q, got, want[i])
+		}
 	}
 }

@@ -3,8 +3,6 @@ package pipeline
 import (
 	"reflect"
 	"testing"
-
-	"hyrise/internal/operators"
 )
 
 // TestRightAndFullOuterJoinSQL covers the new join modes end to end:
@@ -57,8 +55,9 @@ func TestRightAndFullOuterJoinSQL(t *testing.T) {
 }
 
 // TestJoinStrategiesAgreeOverSQL runs the same join+aggregation workload
-// under the serial and radix strategies (and the parallel aggregate merge)
-// and demands identical rows in identical order.
+// with fan-out 1 (no scheduler) and with ForceParallel on a 4-worker
+// scheduler (radix join, sharded aggregate merge, morsel scan, run-split
+// sort) and demands identical rows in identical order.
 func TestJoinStrategiesAgreeOverSQL(t *testing.T) {
 	queries := []string{
 		`SELECT d_name, e_name FROM dept JOIN emp ON d_id = e_dept ORDER BY e_name`,
@@ -76,15 +75,12 @@ func TestJoinStrategiesAgreeOverSQL(t *testing.T) {
 		return out
 	}
 
-	serialCfg := DefaultConfig()
-	serialCfg.JoinStrategy = operators.JoinStrategySerial
-	want := run(serialCfg)
+	want := run(DefaultConfig())
 
 	radixCfg := DefaultConfig()
 	radixCfg.UseScheduler = true
 	radixCfg.SchedulerWorkers = 4
-	radixCfg.JoinStrategy = operators.JoinStrategyRadix
-	radixCfg.ParallelMergeThreshold = 1
+	radixCfg.ForceParallel = true
 	got := run(radixCfg)
 
 	for i := range queries {

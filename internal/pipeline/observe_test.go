@@ -5,8 +5,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"hyrise/internal/observe"
+	"hyrise/internal/types"
 )
 
 // newObserveEngine builds an engine with a populated table large enough that
@@ -160,6 +162,39 @@ func TestTraceSink(t *testing.T) {
 			t.Errorf("cache-hit trace contains build stage %s", st.Name)
 		}
 	}
+}
+
+// TestTraceParseStage checks that a traced statement files the time spent
+// parsing it: the parse stage of LastTrace is positive and inside the total,
+// for both the simple path and the parameterized one.
+func TestTraceParseStage(t *testing.T) {
+	e, s := newObserveEngine(t, DefaultConfig(), 10)
+	e.EnsureTraceSink()
+	check := func(path string) {
+		t.Helper()
+		tr := s.LastTrace()
+		if tr == nil {
+			t.Fatalf("%s: no trace", path)
+		}
+		var parse time.Duration
+		for _, st := range tr.Stages() {
+			if st.Name == "parse" {
+				parse = st.Duration
+			}
+		}
+		if parse <= 0 {
+			t.Fatalf("%s: parse stage = %v, want > 0 (stages %v)", path, parse, tr.Stages())
+		}
+		if tr.Total() < tr.StageTotal() {
+			t.Errorf("%s: total %v < sum of stages %v", path, tr.Total(), tr.StageTotal())
+		}
+	}
+	mustExec(t, s, "SELECT label FROM obs WHERE id = 3 AND grp = 3 ORDER BY label")
+	check("simple query")
+	if _, err := s.ExecuteWithParams("SELECT label FROM obs WHERE id = ?", []types.Value{types.Int(4)}); err != nil {
+		t.Fatal(err)
+	}
+	check("parameterized query")
 }
 
 func TestStatementMetrics(t *testing.T) {

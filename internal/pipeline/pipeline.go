@@ -91,44 +91,12 @@ type Config struct {
 	// SnapshotInterval, when > 0 and DataDir is set, checkpoints in the
 	// background at this cadence, truncating the WAL each time.
 	SnapshotInterval time.Duration
-	// JoinStrategy selects the hash-join execution path: Auto (radix-
-	// partitioned parallel build/probe when the scheduler has multiple
-	// workers and the input is large enough), Serial (always single
-	// build/probe), or Radix (always partitioned — mainly for tests and
-	// benchmarks). Results are identical either way.
-	JoinStrategy operators.JoinStrategy
-	// JoinPartitions overrides the radix join fan-out (0 = one partition
-	// per scheduler worker, rounded up to a power of two).
-	JoinPartitions int
-	// ParallelMergeThreshold is the partial-group count beyond which the
-	// aggregate merge runs hash-sharded in parallel (0 = default 4096,
-	// negative disables the parallel merge).
-	ParallelMergeThreshold int
-	// ScanStrategy selects the table-scan execution path: Auto (morsel-
-	// parallel when the estimator's rows x selectivity cost clears
-	// ScanParallelThreshold and the scheduler has multiple workers), Serial
-	// (always single-threaded), or Force (always morsel-parallel — mainly
-	// for tests and benchmarks). Results are identical either way.
-	ScanStrategy operators.ParallelStrategy
-	// ScanParallelThreshold is the estimated output-row cost (input rows x
-	// predicate selectivity) at which the auto scan strategy goes parallel
-	// (0 = default 16384, negative disables parallel scans under Auto).
-	ScanParallelThreshold int
-	// ScanMorselRows is the target number of rows per scan/partition morsel
-	// (0 = default 65536). Consecutive chunks are coalesced into one morsel
-	// until the budget fills.
-	ScanMorselRows int
-	// SortStrategy selects the sort execution path: Auto (parallel run sort
-	// plus k-way merge above SortParallelThreshold rows), Serial, or Force.
-	// Output order is identical either way.
-	SortStrategy operators.ParallelStrategy
-	// SortParallelThreshold is the input row count at which the auto sort
-	// strategy goes parallel (0 = default 32768, negative disables).
-	SortParallelThreshold int
-	// RecoveryWorkers bounds parallel recovery (snapshot chunk decode and
-	// WAL redo-batch decode; apply stays in commit order). 0 = one worker
-	// per CPU, negative = serial.
-	RecoveryWorkers int
+	// ForceParallel makes every operator fan out regardless of its
+	// estimated work, so tests can drive the parallel split and merge steps
+	// on tiny inputs. Operators otherwise fan out only on a multi-worker
+	// scheduler and above a fixed work estimate (see operators.fanOut).
+	// Results are identical either way.
+	ForceParallel bool
 }
 
 // DefaultConfig enables everything except the scheduler, mirroring the
@@ -253,7 +221,6 @@ func NewEngineErr(cfg Config, sm *storage.StorageManager) (*Engine, error) {
 			Dir:              cfg.DataDir,
 			Mode:             mode,
 			SnapshotInterval: cfg.SnapshotInterval,
-			RecoveryWorkers:  cfg.RecoveryWorkers,
 			Registry:         e.registry,
 		})
 		if err != nil {
@@ -540,7 +507,7 @@ func (s *Session) ExecuteContext(ctx context.Context, sql string) ([]*Result, er
 	parseTime := time.Since(start)
 	results := make([]*Result, 0, len(stmts))
 	for _, stmt := range stmts {
-		res, err := s.executeStatement(ctx, stmt, sql, len(stmts) == 1)
+		res, err := s.executeStatement(ctx, stmt, sql, len(stmts) == 1, parseTime)
 		if err != nil {
 			return results, err
 		}
@@ -564,7 +531,9 @@ func (s *Session) ExecuteOneContext(ctx context.Context, sql string) (*Result, e
 	return results[len(results)-1], nil
 }
 
-func (s *Session) executeStatement(ctx context.Context, stmt sqlparser.Statement, sqlText string, cacheable bool) (*Result, error) {
+// executeStatement runs one parsed statement; parse is the time spent
+// parsing it, which planned statements file as their trace's parse stage.
+func (s *Session) executeStatement(ctx context.Context, stmt sqlparser.Statement, sqlText string, cacheable bool, parse time.Duration) (*Result, error) {
 	// Read-only enforcement for replica engines: writes and DDL fail fast,
 	// before planning, touching no state. promote_replica() is exempt — it
 	// is the one "write" a replica accepts.
@@ -635,7 +604,7 @@ func (s *Session) executeStatement(ctx context.Context, stmt sqlparser.Statement
 		if promoteReplicaCall(stmt) {
 			return s.execPromoteReplica()
 		}
-		return s.runPlanned(ctx, stmt, sqlText, cacheable, nil, nil)
+		return s.runPlanned(ctx, stmt, sqlText, cacheable, nil, nil, parse)
 	}
 }
 
@@ -740,8 +709,9 @@ func tagOf(stmt sqlparser.Statement) string {
 // cancellation counters — and, when a trace sink is installed, records and
 // delivers a per-execution trace. A non-nil pre skips planning and runs
 // that plan (the prepared-statement path); params bind the statement's
-// placeholder slots for this execution.
-func (s *Session) runPlanned(ctx context.Context, stmt sqlparser.Statement, sqlText string, cacheable bool, pre *cachedPlan, params []types.Value) (*Result, error) {
+// placeholder slots for this execution; parse is the time already spent
+// parsing the statement (the trace's parse stage, counted in its total).
+func (s *Session) runPlanned(ctx context.Context, stmt sqlparser.Statement, sqlText string, cacheable bool, pre *cachedPlan, params []types.Value, parse time.Duration) (*Result, error) {
 	engine := s.engine
 	m := engine.metrics
 	if ctx == nil {
@@ -760,7 +730,7 @@ func (s *Session) runPlanned(ctx context.Context, stmt sqlparser.Statement, sqlT
 	}
 	s.activeQ.SetState(observe.StatePlanning)
 	start := time.Now()
-	res, err := s.execPlanned(ctx, stmt, sqlText, cacheable, trace, pre, params)
+	res, err := s.execPlanned(ctx, stmt, sqlText, cacheable, trace, pre, params, parse)
 	m.statements.Inc()
 	s.recordStatementStats(sqlText, time.Since(start), res, err)
 	if err != nil {
@@ -775,7 +745,7 @@ func (s *Session) runPlanned(ctx context.Context, stmt sqlparser.Statement, sqlT
 		}
 		if trace != nil {
 			trace.Canceled = errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-			trace.SetTotal(time.Since(start))
+			trace.SetTotal(parse + time.Since(start))
 			(*sink)(trace)
 		}
 		return nil, err
@@ -784,7 +754,7 @@ func (s *Session) runPlanned(ctx context.Context, stmt sqlparser.Statement, sqlT
 	if trace != nil {
 		trace.CacheHit = res.Timing.CacheHit
 		recordStages(trace, res.Timing)
-		trace.SetTotal(time.Since(start))
+		trace.SetTotal(parse + time.Since(start))
 		(*sink)(trace)
 	}
 	return res, nil
@@ -815,10 +785,10 @@ func (s *Session) recordStatementStats(sqlText string, d time.Duration, res *Res
 
 // execPlanned resolves the physical plan (pre-built, cache, or fresh build)
 // and runs it.
-func (s *Session) execPlanned(ctx context.Context, stmt sqlparser.Statement, sqlText string, cacheable bool, trace *observe.Trace, pre *cachedPlan, params []types.Value) (*Result, error) {
+func (s *Session) execPlanned(ctx context.Context, stmt sqlparser.Statement, sqlText string, cacheable bool, trace *observe.Trace, pre *cachedPlan, params []types.Value, parse time.Duration) (*Result, error) {
 	engine := s.engine
 	isDML := isDMLStatement(stmt)
-	timing := Timing{}
+	timing := Timing{Parse: parse}
 
 	key := strings.TrimSpace(sqlText)
 	plan := pre
@@ -868,17 +838,8 @@ func (s *Session) executePlan(ctx context.Context, plan *cachedPlan, stmt sqlpar
 	ectx.Waits = engine.metrics.waits
 	ectx.Active = s.activeQ
 	ectx.LockWait = engine.cfg.LockWaitTimeout
-	ectx.Parallel = operators.ParallelOptions{
-		JoinStrategy:           engine.cfg.JoinStrategy,
-		JoinPartitions:         engine.cfg.JoinPartitions,
-		ParallelMergeThreshold: engine.cfg.ParallelMergeThreshold,
-		ScanStrategy:           engine.cfg.ScanStrategy,
-		ScanParallelThreshold:  engine.cfg.ScanParallelThreshold,
-		ScanMorselRows:         engine.cfg.ScanMorselRows,
-		SortStrategy:           engine.cfg.SortStrategy,
-		SortParallelThreshold:  engine.cfg.SortParallelThreshold,
-	}
-	// The estimator feeds the scan cost gate. Peek is a pure cache lookup —
+	ectx.ForceParallel = engine.cfg.ForceParallel
+	// The estimator feeds the scan's work estimate. Peek is a pure cache lookup —
 	// never a statistics build — so attaching it costs nothing per query.
 	ectx.Estimator = engine.stats.Peek
 	if tx != nil {
@@ -1096,6 +1057,7 @@ func (s *Session) ExecutePrepared(name string, params []types.Value) (*Result, e
 	}
 	ctx, finish := s.beginQuery(context.Background(), sql)
 	defer finish()
+	start := time.Now()
 	stmt, err := sqlparser.ParseOne(sql)
 	if err != nil {
 		return nil, err
@@ -1103,7 +1065,7 @@ func (s *Session) ExecutePrepared(name string, params []types.Value) (*Result, e
 	if err := lqp.BindParameters(stmt, params); err != nil {
 		return nil, err
 	}
-	return s.runPlanned(ctx, stmt, sql, false, nil, nil)
+	return s.runPlanned(ctx, stmt, sql, false, nil, nil, time.Since(start))
 }
 
 // ExecuteWithParams parses the SQL, substitutes the '?' placeholders with
@@ -1119,6 +1081,7 @@ func (s *Session) ExecuteWithParams(sql string, params []types.Value) (*Result, 
 func (s *Session) ExecuteWithParamsContext(ctx context.Context, sql string, params []types.Value) (*Result, error) {
 	ctx, finish := s.beginQuery(ctx, sql)
 	defer finish()
+	start := time.Now()
 	stmt, err := sqlparser.ParseOne(sql)
 	if err != nil {
 		return nil, err
@@ -1126,7 +1089,7 @@ func (s *Session) ExecuteWithParamsContext(ctx context.Context, sql string, para
 	if err := lqp.BindParameters(stmt, params); err != nil {
 		return nil, err
 	}
-	return s.runPlanned(ctx, stmt, sql, false, nil, nil)
+	return s.runPlanned(ctx, stmt, sql, false, nil, nil, time.Since(start))
 }
 
 // RowStrings renders a result table as printable rows (boundary helper for

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"hyrise/internal/expression"
 	"hyrise/internal/lqp"
@@ -228,7 +229,7 @@ func (s *Session) ExecutePreparedStatement(ctx context.Context, ps *PreparedStat
 		// is reusable: their execution never mutates it.
 		qctx, finish := s.beginQuery(ctx, ps.SQL)
 		defer finish()
-		return s.executeStatement(qctx, ps.Stmt, ps.SQL, false)
+		return s.executeStatement(qctx, ps.Stmt, ps.SQL, false, 0)
 	}
 	qctx, finish := s.beginQuery(ctx, ps.SQL)
 	defer finish()
@@ -238,10 +239,11 @@ func (s *Session) ExecutePreparedStatement(ctx context.Context, ps *PreparedStat
 		}
 	}
 	if ps.plan != nil && ps.epoch == e.sm.Epoch() {
-		return s.runPlanned(qctx, ps.Stmt, ps.SQL, false, ps.plan, params)
+		return s.runPlanned(qctx, ps.Stmt, ps.SQL, false, ps.plan, params, 0)
 	}
 	// No parameterized plan (unsupported shape, control function) or the
 	// catalog moved since Parse: re-parse and bind literal values.
+	start := time.Now()
 	stmts, err := sqlparser.Parse(ps.SQL)
 	if err != nil {
 		return nil, err
@@ -252,7 +254,7 @@ func (s *Session) ExecutePreparedStatement(ctx context.Context, ps *PreparedStat
 			return nil, err
 		}
 	}
-	return s.executeStatement(qctx, stmt, ps.SQL, false)
+	return s.executeStatement(qctx, stmt, ps.SQL, false, time.Since(start))
 }
 
 // statementTag names the CommandComplete tag stem for any statement kind.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hyrise/internal/observe"
-	"hyrise/internal/operators"
 )
 
 // traceWait extracts one wait span by kind from a trace, failing when absent.
@@ -59,8 +58,7 @@ func TestWaitSpansRadixJoinConcurrent(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.UseScheduler = true
 	cfg.SchedulerWorkers = 4
-	cfg.JoinStrategy = operators.JoinStrategyRadix
-	cfg.JoinPartitions = 8
+	cfg.ForceParallel = true
 	e, _ := newObserveEngine(t, cfg, 300)
 
 	const sessions = 4

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -500,6 +503,72 @@ func TestGracefulDrainIdleConnection(t *testing.T) {
 	// New connections are refused after drain.
 	if _, err := pgclient.Dial(addr); err == nil {
 		t.Fatal("dial succeeded after shutdown")
+	}
+}
+
+// rawSession completes a protocol-3 startup on a bare socket and reads up to
+// ReadyForQuery, so a test can then write bytes no client library would.
+func rawSession(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = nc.Close() })
+	body := binary.BigEndian.AppendUint32(nil, 196608)
+	body = append(body, "user\x00raw\x00\x00"...)
+	if _, err := nc.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(body)+4)), body...)); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(nc)
+	for {
+		mt, _, err := readRaw(r)
+		if err != nil {
+			t.Fatalf("startup: %v", err)
+		}
+		if mt == 'Z' {
+			return nc, r
+		}
+	}
+}
+
+func readRaw(r *bufio.Reader) (byte, []byte, error) {
+	var hdr [5]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, nil, err
+	}
+	payload := make([]byte, binary.BigEndian.Uint32(hdr[1:])-4)
+	_, err := io.ReadFull(r, payload)
+	return hdr[0], payload, err
+}
+
+// TestMessageLengthBounded sends message lengths a client cannot have meant
+// — below the 4-byte minimum and 2 GiB — on an authenticated connection. The
+// server must answer FATAL 08P01, close that connection, and keep serving
+// new ones.
+func TestMessageLengthBounded(t *testing.T) {
+	addr, _, _ := startServerWith(t, nil)
+	for _, frame := range [][]byte{
+		{'Q', 0, 0, 0, 0},
+		{'Q', 0x7f, 0xff, 0xff, 0xff},
+	} {
+		nc, r := rawSession(t, addr)
+		if _, err := nc.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		mt, payload, err := readRaw(r)
+		if err != nil || mt != 'E' {
+			t.Fatalf("frame %x: got message %q, %v; want ErrorResponse", frame, mt, err)
+		}
+		if pe := pgclient.DecodeError(payload); pe.Code != "08P01" || pe.Severity != "FATAL" {
+			t.Fatalf("frame %x: error %+v, want FATAL 08P01", frame, pe)
+		}
+		if _, _, err := readRaw(r); !errors.Is(err, io.EOF) {
+			t.Fatalf("frame %x: connection still open after the error (%v)", frame, err)
+		}
+		c := confClient(t, addr)
+		mustSimple(t, c, "SELECT 1")
 	}
 }
 

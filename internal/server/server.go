@@ -362,13 +362,17 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 			// Statement boundary: the connection is idle here. A drain in
 			// progress disconnects it now, with a clean FATAL 57P01.
 			if st.idleBoundary() {
-				w.writeErrorCode(codeAdminShutdown,
-					"terminating connection due to administrator command")
+				_, _ = w.w.Write(shutdownNotice)
 				_ = w.w.Flush()
 				return
 			}
 		}
 		msgType, payload, err := w.readMessage()
+		if errors.Is(err, errMessageLength) {
+			_, _ = w.w.Write(errorFrame(severityFatal, codeProtocolViolation, err.Error()))
+			_ = w.w.Flush()
+			return
+		}
 		if err != nil {
 			return
 		}
@@ -637,6 +641,14 @@ func (w *wire) readInt32() (int32, error) {
 	return int32(binary.BigEndian.Uint32(buf[:])), nil
 }
 
+// maxMessageLen bounds the length a client may declare for one message
+// (length field included); longer or shorter ones end the connection with
+// 08P01 instead of an allocation the client chose.
+const maxMessageLen = 64 << 20
+
+// errMessageLength reports a message length outside [4, maxMessageLen].
+var errMessageLength = errors.New("invalid message length")
+
 func (w *wire) readMessage() (byte, []byte, error) {
 	msgType, err := w.r.ReadByte()
 	if err != nil {
@@ -645,6 +657,9 @@ func (w *wire) readMessage() (byte, []byte, error) {
 	length, err := w.readInt32()
 	if err != nil {
 		return 0, nil, err
+	}
+	if length < 4 || length > maxMessageLen {
+		return 0, nil, fmt.Errorf("%w %d for message %q", errMessageLength, length, msgType)
 	}
 	payload := make([]byte, length-4)
 	if _, err := io.ReadFull(w.r, payload); err != nil {
@@ -713,22 +728,37 @@ func sqlStateFor(err error) string {
 	return codeInternalError
 }
 
-func (w *wire) writeError(msg string) {
-	w.writeErrorCode(codeInternalError, msg)
+// ErrorResponse severities: ERROR fails the statement, FATAL ends the
+// connection.
+const (
+	severityError = "ERROR"
+	severityFatal = "FATAL"
+)
+
+// errorFrame encodes a complete ErrorResponse message. It is the only
+// ErrorResponse encoder; every error and notice the server sends is one.
+func errorFrame(severity, code, msg string) []byte {
+	frame := []byte{'E', 0, 0, 0, 0}
+	for _, f := range []struct {
+		field byte
+		text  string
+	}{{'S', severity}, {'C', code}, {'M', msg}} {
+		frame = append(frame, f.field)
+		frame = append(frame, f.text...)
+		frame = append(frame, 0)
+	}
+	frame = append(frame, 0)
+	binary.BigEndian.PutUint32(frame[1:], uint32(len(frame)-1))
+	return frame
 }
 
+// shutdownNotice is the FATAL 57P01 a drain sends a connection it ends at a
+// statement boundary.
+var shutdownNotice = errorFrame(severityFatal, codeAdminShutdown, "terminating connection due to administrator command")
+
+// writeErrorCode writes an ERROR-severity ErrorResponse.
 func (w *wire) writeErrorCode(code, msg string) {
-	var payload []byte
-	add := func(field byte, text string) {
-		payload = append(payload, field)
-		payload = append(payload, []byte(text)...)
-		payload = append(payload, 0)
-	}
-	add('S', "ERROR")
-	add('C', code)
-	add('M', msg)
-	payload = append(payload, 0)
-	w.writeMessage('E', payload)
+	_, _ = w.w.Write(errorFrame(severityError, code, msg))
 }
 
 // writeResult renders a pipeline result as RowDescription + DataRows +

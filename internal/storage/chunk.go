@@ -384,6 +384,20 @@ func (c *Chunk) MemoryUsage() (data, metadata int64) {
 	return data, metadata
 }
 
+// setRow overwrites one row of the chunk's value segments in place — log
+// replay filling a placeholder it padded in earlier. Caller holds the
+// table's append lock.
+func (c *Chunk) setRow(off types.ChunkOffset, vals []types.Value) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, v := range vals {
+		if err := setValueIn(c.segments[i], off, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // appendRow adds one row to the chunk's value segments. Caller must hold
 // the table's append lock and have verified capacity; the chunk lock is
 // taken so concurrent readers snapshot consistent segment states.

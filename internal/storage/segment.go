@@ -81,6 +81,14 @@ func (s *ValueSegment[T]) Append(v T, null bool) {
 	}
 }
 
+// set overwrites the value and null flag at i.
+func (s *ValueSegment[T]) set(i types.ChunkOffset, v T, null bool) {
+	s.values[i] = v
+	if s.nullable {
+		s.nulls[i] = null
+	}
+}
+
 // Values exposes the underlying data slice for tight loops and encoders.
 func (s *ValueSegment[T]) Values() []T { return s.values }
 
@@ -229,6 +237,21 @@ func AppendValueTo(seg Segment, v types.Value) error {
 		s.Append(v.S, v.IsNull())
 	default:
 		return fmt.Errorf("storage: cannot append to segment of type %T", seg)
+	}
+	return nil
+}
+
+// setValueIn overwrites the value at offset i of a value segment.
+func setValueIn(seg Segment, i types.ChunkOffset, v types.Value) error {
+	switch s := seg.(type) {
+	case *ValueSegment[int64]:
+		s.set(i, v.AsInt(), v.IsNull())
+	case *ValueSegment[float64]:
+		s.set(i, v.AsFloat(), v.IsNull())
+	case *ValueSegment[string]:
+		s.set(i, v.S, v.IsNull())
+	default:
+		return fmt.Errorf("storage: cannot overwrite value in segment of type %T", seg)
 	}
 	return nil
 }

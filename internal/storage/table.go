@@ -45,6 +45,10 @@ type Table struct {
 	chunks []*Chunk
 
 	appendMu sync.Mutex // serializes row appends
+	// placeholders are the rows RestoreRowAt padded in (guarded by
+	// appendMu): slots the log has not filled yet. A later restore at one of
+	// them writes the real values; only other rows count as existing.
+	placeholders map[types.RowID]struct{}
 }
 
 // NewTable creates an empty data table. targetChunkSize <= 0 selects
@@ -214,11 +218,13 @@ func (t *Table) AppendRow(vals []types.Value) (types.RowID, error) {
 }
 
 // RestoreRowAt places a row at an exact RowID during log replay. Offsets
-// skipped because their transactions never committed are padded with
-// invisible placeholder rows (begin = MaxCommitID, end = 0), so the chunk
-// geometry the log's RowIDs reference is reproduced exactly. It reports
-// whether the row already existed (replay over a snapshot that already
-// contains it is idempotent).
+// skipped because their transactions have not committed (yet) are padded
+// with invisible placeholder rows (begin = MaxCommitID, end = 0), so the
+// chunk geometry the log's RowIDs reference is reproduced exactly. A
+// transaction that appended before another but committed after it restores
+// into such a placeholder, which then takes its values. It reports whether
+// the row already existed (replay over a snapshot that already contains it
+// is idempotent); a placeholder never counts as existing.
 func (t *Table) RestoreRowAt(row types.RowID, vals []types.Value) (existed bool, err error) {
 	if t.tableType != DataTable {
 		return false, fmt.Errorf("storage: cannot restore into reference table")
@@ -245,40 +251,71 @@ func (t *Table) RestoreRowAt(row types.RowID, vals []types.Value) (existed bool,
 	defer t.appendMu.Unlock()
 
 	// Create missing chunks up to the target; like AppendRow, opening a new
-	// chunk finalizes its predecessor.
-	for t.ChunkCount() <= int(row.Chunk) {
-		t.mu.Lock()
-		if n := len(t.chunks); n > 0 {
-			t.chunks[n-1].Finalize()
+	// chunk finalizes its predecessor. The writer opened a chunk only once
+	// its predecessor was full, so a mutable predecessor is padded to
+	// capacity first: a row appended there but committed later still finds
+	// its slot.
+	for n := t.ChunkCount(); n <= int(row.Chunk); n++ {
+		if n > 0 {
+			last := t.GetChunk(types.ChunkID(n - 1))
+			if !last.IsImmutable() && last.MvccData() != nil {
+				if err := t.padTo(last, types.ChunkID(n-1), t.targetChunkSize); err != nil {
+					return false, err
+				}
+			}
+			last.Finalize()
 		}
-		t.chunks = append(t.chunks, t.newMutableChunk())
+		c := t.newMutableChunk()
+		t.mu.Lock()
+		t.chunks = append(t.chunks, c)
 		t.mu.Unlock()
 	}
 
 	chunk := t.GetChunk(row.Chunk)
 	if int(row.Offset) < chunk.Size() {
-		return true, nil
+		if _, ok := t.placeholders[row]; !ok {
+			return true, nil
+		}
+		delete(t.placeholders, row)
+		return false, chunk.setRow(row.Offset, vals)
 	}
 	if chunk.IsImmutable() {
 		return false, fmt.Errorf("storage: restore offset %d beyond immutable chunk %d of table %q", row.Offset, row.Chunk, t.name)
 	}
-	mvcc := chunk.MvccData()
-	if mvcc == nil && chunk.Size() < int(row.Offset) {
-		return false, fmt.Errorf("storage: cannot pad rows of table %q without MVCC data", t.name)
-	}
-	for chunk.Size() < int(row.Offset) {
-		off := types.ChunkOffset(chunk.Size())
-		if err := chunk.appendRow(t.placeholderRow()); err != nil {
-			return false, err
-		}
-		// Placeholders stand in for aborted or uncommitted rows: never
-		// visible to anyone.
-		mvcc.SetEnd(off, 0)
+	if err := t.padTo(chunk, row.Chunk, int(row.Offset)); err != nil {
+		return false, err
 	}
 	if err := chunk.appendRow(vals); err != nil {
 		return false, err
 	}
 	return false, nil
+}
+
+// padTo appends invisible placeholder rows to chunk until it holds size
+// rows and records them as unfilled. Caller holds appendMu.
+func (t *Table) padTo(chunk *Chunk, id types.ChunkID, size int) error {
+	if chunk.Size() >= size {
+		return nil
+	}
+	mvcc := chunk.MvccData()
+	if mvcc == nil {
+		return fmt.Errorf("storage: cannot pad rows of table %q without MVCC data", t.name)
+	}
+	if t.placeholders == nil {
+		t.placeholders = make(map[types.RowID]struct{})
+	}
+	pad := t.placeholderRow()
+	for chunk.Size() < size {
+		off := types.ChunkOffset(chunk.Size())
+		if err := chunk.appendRow(pad); err != nil {
+			return err
+		}
+		// Placeholders stand in for aborted or uncommitted rows: never
+		// visible to anyone.
+		mvcc.SetEnd(off, 0)
+		t.placeholders[types.RowID{Chunk: id, Offset: off}] = struct{}{}
+	}
+	return nil
 }
 
 // placeholderRow builds a typed all-zero row used to pad recovery gaps.
