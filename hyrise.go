@@ -20,7 +20,9 @@ package hyrise
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"sync"
 
 	"hyrise/internal/benchmark"
 	"hyrise/internal/concurrency"
@@ -53,6 +55,9 @@ type Database struct {
 	session *pipeline.Session
 	plugins *plugin.Manager
 	repl    replState // replication role, if any (see replication.go)
+
+	mu       sync.Mutex
+	prepared map[string]*pipeline.PreparedStatement // by Prepare name
 }
 
 // Open creates a database with the given configuration. It panics when
@@ -74,9 +79,10 @@ func OpenErr(cfg Config) (*Database, error) {
 		return nil, err
 	}
 	return &Database{
-		engine:  engine,
-		session: engine.NewSession(),
-		plugins: plugin.NewManager(engine),
+		engine:   engine,
+		session:  engine.NewSession(),
+		plugins:  plugin.NewManager(engine),
+		prepared: make(map[string]*pipeline.PreparedStatement),
 	}, nil
 }
 
@@ -129,12 +135,29 @@ func (db *Database) Engine() *pipeline.Engine { return db.engine }
 // StorageManager exposes the table catalog.
 func (db *Database) StorageManager() *storage.StorageManager { return db.engine.StorageManager() }
 
-// Prepare registers a named prepared statement with '?' placeholders.
-func (db *Database) Prepare(name, sql string) error { return db.engine.Prepare(name, sql) }
+// Prepare parses, validates and plans a named prepared statement with '?'
+// (or $n) placeholders; syntax and semantic errors surface here. Preparing
+// an existing name replaces it.
+func (db *Database) Prepare(name, sql string) error {
+	ps, err := db.session.PrepareStatement(sql)
+	if err != nil {
+		return err
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.prepared[name] = ps
+	return nil
+}
 
 // ExecutePrepared binds values to a prepared statement and runs it.
 func (db *Database) ExecutePrepared(name string, params []Value) (*Result, error) {
-	return db.session.ExecutePrepared(name, params)
+	db.mu.Lock()
+	ps, ok := db.prepared[name]
+	db.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("hyrise: no prepared statement %q", name)
+	}
+	return db.session.ExecutePreparedStatement(context.Background(), ps, params)
 }
 
 // Plans returns the unoptimized LQP, optimized LQP, and PQP of a query as

@@ -53,6 +53,12 @@ func TestFacadePreparedAndPlans(t *testing.T) {
 	if len(Rows(res)) != 2 {
 		t.Errorf("prepared result = %v", Rows(res))
 	}
+	if _, err := db.ExecutePrepared("nope", nil); err == nil {
+		t.Error("unknown prepared statement should fail")
+	}
+	if err := db.Prepare("bad", "SELECT v FROM no_such_table WHERE v > ?"); err == nil {
+		t.Error("semantic errors should surface at Prepare")
+	}
 	unopt, opt, pqp, err := db.Plans("SELECT v FROM p WHERE v = 5")
 	if err != nil {
 		t.Fatal(err)

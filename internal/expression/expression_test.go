@@ -1,6 +1,8 @@
 package expression
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -602,5 +604,46 @@ func TestLikeContainsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestValueSetCanonicalKeys(t *testing.T) {
+	s := NewValueSet()
+	s.Add(types.Int(1)) // a projected predicate result, stored as 0/1
+	s.Add(types.Float(math.Copysign(0, -1)))
+	s.Add(types.Float(math.NaN()))
+	if !s.Contains(types.Bool(true)) || s.Contains(types.Int(2)) {
+		t.Error("boolean probe must match its stored 0/1 form")
+	}
+	if !s.Contains(types.Int(0)) || !s.Contains(types.Float(0)) {
+		t.Error("0 must match a stored -0.0")
+	}
+	if !s.Contains(types.Float(-math.NaN())) {
+		t.Error("NaN must match a stored NaN")
+	}
+	if s.Len() != 3 {
+		t.Errorf("Len = %d, want 3", s.Len())
+	}
+}
+
+func TestValueSetContainsDoesNotAllocate(t *testing.T) {
+	s := NewValueSet()
+	for i := 0; i < 100; i++ {
+		s.Add(types.Int(int64(i)))
+		s.Add(types.Str(fmt.Sprintf("key-%d", i)))
+	}
+	probes := map[string]types.Value{
+		"int":    types.Int(42),
+		"float":  types.Float(42),
+		"string": types.Str("key-42"),
+		"miss":   types.Str("no-such-key"),
+	}
+	for name, probe := range probes {
+		allocs := testing.AllocsPerRun(100, func() {
+			s.Contains(probe)
+		})
+		if allocs != 0 {
+			t.Errorf("%s probe: Contains allocates %.1f times per call", name, allocs)
+		}
 	}
 }

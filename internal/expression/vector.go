@@ -149,63 +149,39 @@ func VectorFromSegmentPositions(seg storage.Segment, pos []types.ChunkOffset) *V
 	}
 }
 
-// ValueSet is the materialized result of an IN-subquery: typed hash sets
+// ValueSet is the materialized result of an IN-subquery: the canonical key
+// encodings (types.AppendKey of types.CanonicalKey) of its non-NULL values,
+// so membership follows SQL equality across int, float and boolean values,
 // plus a NULL marker for correct three-valued NOT IN semantics.
 type ValueSet struct {
-	Ints    map[int64]struct{}
-	Floats  map[float64]struct{}
-	Strs    map[string]struct{}
+	keys    map[string]struct{}
 	HasNull bool
 }
 
 // NewValueSet creates an empty set.
 func NewValueSet() *ValueSet {
-	return &ValueSet{
-		Ints:   make(map[int64]struct{}),
-		Floats: make(map[float64]struct{}),
-		Strs:   make(map[string]struct{}),
-	}
+	return &ValueSet{keys: make(map[string]struct{})}
 }
 
 // Add inserts a value.
 func (s *ValueSet) Add(v types.Value) {
-	switch v.Type {
-	case types.TypeInt64:
-		s.Ints[v.I] = struct{}{}
-	case types.TypeFloat64:
-		s.Floats[v.F] = struct{}{}
-	case types.TypeString:
-		s.Strs[v.S] = struct{}{}
-	default:
+	if v.IsNull() {
 		s.HasNull = true
+		return
 	}
+	s.keys[string(types.AppendKey(nil, types.CanonicalKey(v)))] = struct{}{}
 }
 
-// Contains reports membership with numeric coercion.
+// Contains reports membership under SQL equality. It does not allocate for
+// numeric probes or strings of up to 62 bytes.
 func (s *ValueSet) Contains(v types.Value) bool {
-	switch v.Type {
-	case types.TypeInt64:
-		if _, ok := s.Ints[v.I]; ok {
-			return true
-		}
-		_, ok := s.Floats[float64(v.I)]
-		return ok
-	case types.TypeFloat64:
-		if _, ok := s.Floats[v.F]; ok {
-			return true
-		}
-		if v.F == float64(int64(v.F)) {
-			_, ok := s.Ints[int64(v.F)]
-			return ok
-		}
-		return false
-	case types.TypeString:
-		_, ok := s.Strs[v.S]
-		return ok
-	default:
+	if v.IsNull() {
 		return false
 	}
+	var scratch [64]byte
+	_, ok := s.keys[string(types.AppendKey(scratch[:0], types.CanonicalKey(v)))]
+	return ok
 }
 
 // Len returns the number of stored non-NULL values.
-func (s *ValueSet) Len() int { return len(s.Ints) + len(s.Floats) + len(s.Strs) }
+func (s *ValueSet) Len() int { return len(s.keys) }

@@ -52,15 +52,20 @@ type aggState struct {
 	sumInt   int64
 	count    int64
 	min, max types.Value
-	distinct map[types.Value]struct{}
+	// distinct holds the canonical key encodings (types.AppendKey) of the
+	// COUNT(DISTINCT) values seen, so 5 ≡ 5.0, 0.0 ≡ -0.0 and NaN ≡ NaN.
+	distinct map[string]struct{}
 	seen     bool
 }
 
 type group struct {
+	// key is the canonical encoding of the group's key tuple; keys holds
+	// the tuple's values as first seen.
+	key    string
 	keys   []types.Value
 	states []aggState
-	// hash is the FNV-1a hash of the group's encoded key — the shard
-	// selector of the parallel merge.
+	// hash is types.KeyHash of key — the shard selector of the parallel
+	// merge.
 	hash uint64
 	// firstSeen is the global row ordinal of the group's first appearance.
 	// The output is ordered by it, which makes the merge order-independent:
@@ -71,7 +76,7 @@ type group struct {
 // chunkGroups is the partial aggregation of one chunk.
 type chunkGroups struct {
 	groups map[string]*group
-	order  []string
+	order  []*group
 	err    error
 }
 
@@ -175,8 +180,7 @@ func mergeSharded(ctx *ExecContext, aggs []*expression.Aggregate, partials []chu
 			seen := 0
 			for pi := range partials {
 				p := &partials[pi]
-				for _, key := range p.order {
-					partial := p.groups[key]
+				for _, partial := range p.order {
 					if partial.hash&mask != uint64(s) {
 						continue
 					}
@@ -184,9 +188,9 @@ func mergeSharded(ctx *ExecContext, aggs []*expression.Aggregate, partials []chu
 					if seen%mergeShardCancelStride == 0 && ctx.Err() != nil {
 						return
 					}
-					g, ok := merged[key]
+					g, ok := merged[partial.key]
 					if !ok {
-						merged[key] = partial
+						merged[partial.key] = partial
 						out = append(out, partial)
 						continue
 					}
@@ -351,11 +355,11 @@ func (op *Aggregate) aggregateChunkEncoded(c *storage.Chunk, base int64, plan *e
 	g := &group{
 		keys:      make([]types.Value, 0),
 		states:    states,
-		hash:      fnv64str(""),
+		hash:      types.KeyHash(nil),
 		firstSeen: base,
 	}
 	out.groups[""] = g
-	out.order = []string{""}
+	out.order = []*group{g}
 	return out, true
 }
 
@@ -389,31 +393,32 @@ func (op *Aggregate) aggregateChunk(ctx *ExecContext, input *storage.Table, c *s
 		argVecs[i] = v
 	}
 
-	// Pass 1: assign every row to its group.
+	// Pass 1: assign every row to its group. The lookup converts the
+	// reused key buffer without allocating; only a new group copies it.
 	groupOf := make([]*group, n)
-	var keyBuf strings.Builder
+	var buf []byte
 	for row := 0; row < n; row++ {
-		keyBuf.Reset()
-		keys := make([]types.Value, len(op.GroupBy))
-		for i, kv := range keyVecs {
-			val := kv.ValueAt(row)
-			keys[i] = val
-			// NULL group keys compare equal in GROUP BY.
-			keyBuf.WriteByte(byte('0' + val.Type))
-			keyBuf.WriteString(val.String())
-			keyBuf.WriteByte(0)
+		buf = buf[:0]
+		for _, kv := range keyVecs {
+			// NULL group keys compare equal in GROUP BY: NULL encodes as
+			// its type byte.
+			buf = types.AppendKey(buf, types.CanonicalKey(kv.ValueAt(row)))
 		}
-		key := keyBuf.String()
-		g, ok := out.groups[key]
+		g, ok := out.groups[string(buf)]
 		if !ok {
+			keys := make([]types.Value, len(keyVecs))
+			for i, kv := range keyVecs {
+				keys[i] = kv.ValueAt(row)
+			}
 			g = &group{
+				key:       string(buf),
 				keys:      keys,
 				states:    make([]aggState, len(op.Aggs)),
-				hash:      fnv64str(key),
+				hash:      types.KeyHash(buf),
 				firstSeen: base + int64(row),
 			}
-			out.groups[key] = g
-			out.order = append(out.order, key)
+			out.groups[g.key] = g
+			out.order = append(out.order, g)
 		}
 		groupOf[row] = g
 	}
@@ -569,9 +574,13 @@ func updateState(st *aggState, agg *expression.Aggregate, arg *expression.Vector
 		st.count++
 	case expression.AggCountDistinct:
 		if st.distinct == nil {
-			st.distinct = make(map[types.Value]struct{})
+			st.distinct = make(map[string]struct{})
 		}
-		st.distinct[val] = struct{}{}
+		var scratch [32]byte
+		k := types.AppendKey(scratch[:0], types.CanonicalKey(val))
+		if _, ok := st.distinct[string(k)]; !ok {
+			st.distinct[string(k)] = struct{}{}
+		}
 	case expression.AggSum, expression.AggAvg:
 		st.count++
 		st.sum += val.AsFloat()

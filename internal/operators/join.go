@@ -190,30 +190,6 @@ func evalKeyOverTable(ctx *ExecContext, t *storage.Table, key expression.Express
 	return vals, rows, nil
 }
 
-// canonicalKey normalizes numeric values so int 5 and float 5.0 hash alike.
-func canonicalKey(v types.Value) types.Value {
-	if v.Type == types.TypeFloat64 && v.F == float64(int64(v.F)) {
-		return types.Int(int64(v.F))
-	}
-	return v
-}
-
-// compositeKey renders a tuple of key values into one hashable string; any
-// NULL component disqualifies the row (NULL never joins).
-func compositeKey(sb *strings.Builder, vals []types.Value) (string, bool) {
-	sb.Reset()
-	for _, v := range vals {
-		if v.IsNull() {
-			return "", false
-		}
-		c := canonicalKey(v)
-		sb.WriteByte(byte('0' + c.Type))
-		sb.WriteString(c.String())
-		sb.WriteByte(0)
-	}
-	return sb.String(), true
-}
-
 // HashJoin is the equi-join: it builds a hash table over the right input's
 // keys and probes it with the left input (cf. paper §2.1: joins are
 // implemented as sort-merge, hash, or nested-loop joins, chosen per plan).

@@ -51,8 +51,8 @@ func (j *SortMergeJoin) Run(ctx *ExecContext, inputs []*storage.Table) (*storage
 
 	li, ri := 0, 0
 	for li < len(leftOrder) && ri < len(rightOrder) {
-		lv := canonicalKey(leftVals[leftOrder[li]])
-		rv := canonicalKey(rightVals[rightOrder[ri]])
+		lv := types.CanonicalKey(leftVals[leftOrder[li]])
+		rv := types.CanonicalKey(rightVals[rightOrder[ri]])
 		if lv.IsNull() {
 			li++
 			continue
@@ -73,11 +73,11 @@ func (j *SortMergeJoin) Run(ctx *ExecContext, inputs []*storage.Table) (*storage
 		default:
 			// Find the extent of the equal-key blocks on both sides.
 			lEnd := li
-			for lEnd < len(leftOrder) && canonicalKey(leftVals[leftOrder[lEnd]]).Equal(lv) {
+			for lEnd < len(leftOrder) && types.CanonicalKey(leftVals[leftOrder[lEnd]]).Equal(lv) {
 				lEnd++
 			}
 			rEnd := ri
-			for rEnd < len(rightOrder) && canonicalKey(rightVals[rightOrder[rEnd]]).Equal(rv) {
+			for rEnd < len(rightOrder) && types.CanonicalKey(rightVals[rightOrder[rEnd]]).Equal(rv) {
 				rEnd++
 			}
 			for a := li; a < lEnd; a++ {

@@ -2,7 +2,6 @@ package operators
 
 import (
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -29,22 +28,32 @@ import (
 // between cancellation checks.
 const radixCancelStride = 4096
 
-// fnv64str hashes a composite key string (FNV-1a).
-func fnv64str(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // joinPartition is one side's rows falling into one hash partition. idx
 // holds global row indices (into the side's rows slice) in ascending order;
-// keys are the pre-rendered composite key strings.
+// row i's canonical key encoding (types.AppendKey) is keys[ends[i-1]:ends[i]].
 type joinPartition struct {
-	keys []string
+	keys []byte
+	ends []int
 	idx  []int32
+}
+
+// key returns row i's encoded key.
+func (jp *joinPartition) key(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = jp.ends[i-1]
+	}
+	return jp.keys[start:jp.ends[i]]
+}
+
+// appendPartition appends src's rows to dst, rebasing src's key offsets.
+func (jp *joinPartition) appendPartition(src *joinPartition) {
+	base := len(jp.keys)
+	jp.keys = append(jp.keys, src.keys...)
+	for _, e := range src.ends {
+		jp.ends = append(jp.ends, base+e)
+	}
+	jp.idx = append(jp.idx, src.idx...)
 }
 
 // partitionKeysOverTable fuses key materialization with hash partitioning:
@@ -54,8 +63,9 @@ type joinPartition struct {
 // materialize. The scan's output streams straight into the radix partitioner
 // — no table-wide [][]Value key array is ever built, which both removes the
 // materialization barrier between the phases and halves the passes over the
-// keys. NULL-key rows are dropped (NULL never joins); they remain visible to
-// finish through the returned global rows slice.
+// keys. Each row's key tuple is encoded once into a reused buffer and
+// partitioned by its KeyHash. NULL-key rows are dropped (NULL never joins);
+// they remain visible to finish through the returned global rows slice.
 //
 // Each morsel covers a contiguous global row range and buckets are
 // concatenated in morsel order, so every partition keeps ascending global
@@ -74,26 +84,27 @@ func partitionKeysOverTable(ctx *ExecContext, t *storage.Table, keys []expressio
 
 	morsels := morselRanges(chunks, parts)
 	type morselBuckets struct {
-		keys [][]string
-		idx  [][]int32
-		err  error
+		parts []joinPartition
+		err   error
 	}
 	buckets := make([]morselBuckets, len(morsels))
 	jobs := make([]func(), len(morsels))
 	for mi, m := range morsels {
 		mi, m := mi, m
 		jobs[mi] = func() {
-			b := morselBuckets{keys: make([][]string, parts), idx: make([][]int32, parts)}
+			b := morselBuckets{parts: make([]joinPartition, parts)}
 			n := 0
 			for ci := m.lo; ci < m.hi; ci++ {
 				n += chunks[ci].Size()
 			}
-			for p := range b.keys {
-				b.keys[p] = make([]string, 0, n/parts)
-				b.idx[p] = make([]int32, 0, n/parts)
+			for p := range b.parts {
+				// Numeric keys take 9 bytes per component (type byte plus
+				// 8); strings grow the buffer as needed.
+				b.parts[p].keys = make([]byte, 0, n/parts*9*len(keys))
+				b.parts[p].ends = make([]int, 0, n/parts)
+				b.parts[p].idx = make([]int32, 0, n/parts)
 			}
-			var sb strings.Builder
-			tuple := make([]types.Value, len(keys))
+			var buf []byte
 			for ci := m.lo; ci < m.hi; ci++ {
 				if ctx.Err() != nil {
 					return
@@ -114,25 +125,29 @@ func partitionKeysOverTable(ctx *ExecContext, t *storage.Table, keys []expressio
 					}
 					vecs[i] = v
 				}
+			rowLoop:
 				for row := 0; row < n; row++ {
 					if row%radixCancelStride == 0 && ctx.Err() != nil {
 						return
 					}
 					gi := base[ci] + row
 					rows[gi] = types.RowID{Chunk: types.ChunkID(ci), Offset: types.ChunkOffset(row)}
-					for i, v := range vecs {
-						tuple[i] = v.ValueAt(row)
-					}
-					k, ok := compositeKey(&sb, tuple)
-					if !ok {
-						continue
+					buf = buf[:0]
+					for _, v := range vecs {
+						val := v.ValueAt(row)
+						if val.IsNull() {
+							continue rowLoop
+						}
+						buf = types.AppendKey(buf, types.CanonicalKey(val))
 					}
 					p := uint64(0)
 					if mask != 0 {
-						p = fnv64str(k) & mask
+						p = types.KeyHash(buf) & mask
 					}
-					b.keys[p] = append(b.keys[p], k)
-					b.idx[p] = append(b.idx[p], int32(gi))
+					jp := &b.parts[p]
+					jp.keys = append(jp.keys, buf...)
+					jp.ends = append(jp.ends, len(jp.keys))
+					jp.idx = append(jp.idx, int32(gi))
 				}
 			}
 			buckets[mi] = b
@@ -147,34 +162,30 @@ func partitionKeysOverTable(ctx *ExecContext, t *storage.Table, keys []expressio
 			return nil, nil, buckets[mi].err
 		}
 	}
-
-	out := make([]joinPartition, parts)
 	if len(buckets) == 1 {
-		for p := range out {
-			out[p] = joinPartition{keys: buckets[0].keys[p], idx: buckets[0].idx[p]}
-		}
-		return out, rows, nil
+		return buckets[0].parts, rows, nil
 	}
 	// Concatenate the morsel buckets per partition, in morsel order, so each
 	// partition keeps ascending global row order.
+	out := make([]joinPartition, parts)
 	concat := make([]func(), parts)
 	for p := 0; p < parts; p++ {
 		p := p
 		concat[p] = func() {
-			n := 0
+			nKeys, nRows := 0, 0
 			for mi := range buckets {
-				n += len(buckets[mi].keys[p])
+				nKeys += len(buckets[mi].parts[p].keys)
+				nRows += len(buckets[mi].parts[p].idx)
 			}
-			if n == 0 {
-				return
+			jp := joinPartition{
+				keys: make([]byte, 0, nKeys),
+				ends: make([]int, 0, nRows),
+				idx:  make([]int32, 0, nRows),
 			}
-			ks := make([]string, 0, n)
-			idx := make([]int32, 0, n)
 			for mi := range buckets {
-				ks = append(ks, buckets[mi].keys[p]...)
-				idx = append(idx, buckets[mi].idx[p]...)
+				jp.appendPartition(&buckets[mi].parts[p])
 			}
-			out[p] = joinPartition{keys: ks, idx: idx}
+			out[p] = jp
 		}
 	}
 	ctx.runJobs(concat)
@@ -199,18 +210,24 @@ func radixJoinPairs(ctx *ExecContext, j *HashJoin, build, probe []joinPartition,
 				return
 			}
 			t0 := time.Now()
-			ht := make(map[string][]int32, len(b.keys))
-			for i, k := range b.keys {
+			// One string holds every build key; the table's keys are
+			// substrings of it, so building allocates no key strings.
+			arena := string(b.keys)
+			ht := make(map[string][]int32, len(b.idx))
+			start := 0
+			for i, end := range b.ends {
+				k := arena[start:end]
 				ht[k] = append(ht[k], b.idx[i])
+				start = end
 			}
 			t1 := time.Now()
 			buildNS.Add(t1.Sub(t0).Nanoseconds())
 			var out pairSet
-			for i, k := range pr.keys {
+			for i := range pr.idx {
 				if i%radixCancelStride == 0 && ctx.Err() != nil {
 					return
 				}
-				for _, ri := range ht[k] {
+				for _, ri := range ht[string(pr.key(i))] {
 					out.append(leftRows[pr.idx[i]], rightRows[ri], pr.idx[i], ri)
 				}
 			}

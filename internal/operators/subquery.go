@@ -1,10 +1,9 @@
 package operators
 
 import (
+	"encoding/binary"
 	"fmt"
-	"strings"
 
-	"hyrise/internal/encoding"
 	"hyrise/internal/expression"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
@@ -24,62 +23,52 @@ type subqueryResult struct {
 	err    error
 }
 
-func subqueryKey(kind string, sub *expression.Subquery, params []types.Value) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s:%d", kind, sub.ID)
-	for _, p := range params {
-		sb.WriteByte('|')
-		sb.WriteByte(byte('0' + p.Type))
-		sb.WriteString(p.String())
-	}
-	return sb.String()
-}
-
 // installSubqueryExecutors wires the evaluator callbacks to physical plan
 // execution with memoization.
 func (ctx *ExecContext) installSubqueryExecutors(ec *expression.Context) {
 	ec.ExecScalarSubquery = func(sub *expression.Subquery, params []types.Value) (types.Value, error) {
-		key := subqueryKey("s", sub, params)
-		if cached, ok := ctx.subqueryCache.Load(key); ok {
-			r := cached.(*subqueryResult)
-			return r.scalar, r.err
-		}
-		out, err := ctx.runSubquery(sub, params)
-		r := &subqueryResult{err: err}
-		if err == nil {
-			r.scalar, r.err = scalarFromTable(out)
-		}
-		ctx.subqueryCache.Store(key, r)
+		r := ctx.memoSubquery('s', sub, params, func(out *storage.Table, r *subqueryResult) (err error) {
+			r.scalar, err = scalarFromTable(out)
+			return err
+		})
 		return r.scalar, r.err
 	}
 	ec.ExecInSubquery = func(sub *expression.Subquery, params []types.Value) (*expression.ValueSet, error) {
-		key := subqueryKey("i", sub, params)
-		if cached, ok := ctx.subqueryCache.Load(key); ok {
-			r := cached.(*subqueryResult)
-			return r.set, r.err
-		}
-		out, err := ctx.runSubquery(sub, params)
-		r := &subqueryResult{err: err}
-		if err == nil {
-			r.set, r.err = valueSetFromTable(out)
-		}
-		ctx.subqueryCache.Store(key, r)
+		r := ctx.memoSubquery('i', sub, params, func(out *storage.Table, r *subqueryResult) (err error) {
+			r.set, err = valueSetFromTable(out)
+			return err
+		})
 		return r.set, r.err
 	}
 	ec.ExecExistsSubquery = func(sub *expression.Subquery, params []types.Value) (bool, error) {
-		key := subqueryKey("e", sub, params)
-		if cached, ok := ctx.subqueryCache.Load(key); ok {
-			r := cached.(*subqueryResult)
-			return r.exists, r.err
-		}
-		out, err := ctx.runSubquery(sub, params)
-		r := &subqueryResult{err: err}
-		if err == nil {
+		r := ctx.memoSubquery('e', sub, params, func(out *storage.Table, r *subqueryResult) error {
 			r.exists = out.RowCount() > 0
-		}
-		ctx.subqueryCache.Store(key, r)
+			return nil
+		})
 		return r.exists, r.err
 	}
+}
+
+// memoSubquery runs a subquery once per (kind, subquery, parameter values)
+// and caches the outcome; derive fills the kind's field of the result from
+// the subquery's output. The parameters are keyed exactly (AppendKey
+// without CanonicalKey): a subquery may return its parameter, so 5 and 5.0,
+// or 0.0 and -0.0, must not share an entry.
+func (ctx *ExecContext) memoSubquery(kind byte, sub *expression.Subquery, params []types.Value, derive func(*storage.Table, *subqueryResult) error) *subqueryResult {
+	key := binary.AppendUvarint([]byte{kind}, uint64(sub.ID))
+	for _, p := range params {
+		key = types.AppendKey(key, p)
+	}
+	if cached, ok := ctx.subqueryCache.Load(string(key)); ok {
+		return cached.(*subqueryResult)
+	}
+	out, err := ctx.runSubquery(sub, params)
+	r := &subqueryResult{err: err}
+	if err == nil {
+		r.err = derive(out, r)
+	}
+	ctx.subqueryCache.Store(string(key), r)
+	return r
 }
 
 func (ctx *ExecContext) runSubquery(sub *expression.Subquery, params []types.Value) (*storage.Table, error) {
@@ -121,35 +110,9 @@ func valueSetFromTable(t *storage.Table) (*expression.ValueSet, error) {
 		if c.Size() == 0 {
 			continue
 		}
-		seg := c.GetSegment(0)
-		switch seg.DataType() {
-		case types.TypeInt64:
-			vals, nulls := encoding.Materialize[int64](seg)
-			for i, v := range vals {
-				if nulls != nil && nulls[i] {
-					set.HasNull = true
-					continue
-				}
-				set.Ints[v] = struct{}{}
-			}
-		case types.TypeFloat64:
-			vals, nulls := encoding.Materialize[float64](seg)
-			for i, v := range vals {
-				if nulls != nil && nulls[i] {
-					set.HasNull = true
-					continue
-				}
-				set.Floats[v] = struct{}{}
-			}
-		case types.TypeString:
-			vals, nulls := encoding.Materialize[string](seg)
-			for i, v := range vals {
-				if nulls != nil && nulls[i] {
-					set.HasNull = true
-					continue
-				}
-				set.Strs[v] = struct{}{}
-			}
+		vec := expression.VectorFromSegment(c.GetSegment(0))
+		for i := 0; i < vec.N; i++ {
+			set.Add(vec.ValueAt(i))
 		}
 	}
 	return set, nil

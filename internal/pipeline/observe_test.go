@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -166,7 +167,7 @@ func TestTraceSink(t *testing.T) {
 
 // TestTraceParseStage checks that a traced statement files the time spent
 // parsing it: the parse stage of LastTrace is positive and inside the total,
-// for both the simple path and the parameterized one.
+// for both the simple path and a prepared statement that re-parses.
 func TestTraceParseStage(t *testing.T) {
 	e, s := newObserveEngine(t, DefaultConfig(), 10)
 	e.EnsureTraceSink()
@@ -191,10 +192,16 @@ func TestTraceParseStage(t *testing.T) {
 	}
 	mustExec(t, s, "SELECT label FROM obs WHERE id = 3 AND grp = 3 ORDER BY label")
 	check("simple query")
-	if _, err := s.ExecuteWithParams("SELECT label FROM obs WHERE id = ?", []types.Value{types.Int(4)}); err != nil {
+	// A parameter reaching a statement with a subquery has no parameterized
+	// plan, so each execution re-parses and binds literals.
+	ps, err := s.PrepareStatement("SELECT label FROM obs WHERE id = ? AND grp IN (SELECT grp FROM obs)")
+	if err != nil {
 		t.Fatal(err)
 	}
-	check("parameterized query")
+	if _, err := s.ExecutePreparedStatement(context.Background(), ps, []types.Value{types.Int(4)}); err != nil {
+		t.Fatal(err)
+	}
+	check("re-parsed prepared statement")
 }
 
 func TestStatementMetrics(t *testing.T) {

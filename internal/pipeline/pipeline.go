@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -150,9 +149,6 @@ type Engine struct {
 	// Executor-pool wiring (see the server package): poolRows feeds the
 	// meta_executor_pool table when a wire server installs its pool.
 	poolRows atomic.Pointer[func() []PoolRow]
-
-	mu       sync.Mutex
-	prepared map[string]string // name -> SQL text
 }
 
 // engineMetrics holds the pre-resolved hot-path metric handles so statement
@@ -203,7 +199,6 @@ func NewEngineErr(cfg Config, sm *storage.StorageManager) (*Engine, error) {
 		tm:        concurrency.NewTransactionManager(),
 		stats:     statistics.NewCache(cfg.HistogramType),
 		planCache: cache.NewLRU[string, *cachedPlan](cfg.PlanCacheSize),
-		prepared:  make(map[string]string),
 	}
 	e.opt = optimizer.NewDefault(e.stats)
 	if cfg.UseScheduler {
@@ -689,19 +684,6 @@ func isDMLStatement(stmt sqlparser.Statement) bool {
 	return false
 }
 
-func tagOf(stmt sqlparser.Statement) string {
-	switch stmt.(type) {
-	case *sqlparser.InsertStatement:
-		return "INSERT"
-	case *sqlparser.UpdateStatement:
-		return "UPDATE"
-	case *sqlparser.DeleteStatement:
-		return "DELETE"
-	default:
-		return "SELECT"
-	}
-}
-
 // runPlanned executes SELECT/INSERT/UPDATE/DELETE through the planning
 // pipeline, using the plan cache for repeated SELECTs. It creates the
 // per-statement context (applying the engine's StatementTimeout on top of
@@ -871,7 +853,7 @@ func (s *Session) executePlan(ctx context.Context, plan *cachedPlan, stmt sqlpar
 		trace.SetPlanText(operators.AnnotatedPlanString(plan.root, trace))
 	}
 
-	res := &Result{Table: out, Columns: plan.columns, Tag: tagOf(stmt), Timing: *timing}
+	res := &Result{Table: out, Columns: plan.columns, Tag: statementTag(stmt), Timing: *timing}
 	if isDMLStatement(stmt) && out != nil && out.RowCount() > 0 {
 		res.RowsAffected = out.GetValue(0, types.RowID{}).I
 	}
@@ -1029,67 +1011,6 @@ func (s *Session) Explain(sql string) (*ExplainResult, error) {
 	}
 	b.WriteString(operators.AnnotatedPlanString(plan.root, trace))
 	return &ExplainResult{Text: b.String(), Trace: trace, Result: res}, nil
-}
-
-// Prepare registers a named prepared statement (paper §2.6: "for prepared
-// statements, we store placeholders instead of actual values"). The
-// statement is validated at prepare time; each execution re-parses the
-// stored text so parameter substitution never mutates shared state —
-// parsing is cheap (paper: "the cost of query planning is comparatively
-// low").
-func (e *Engine) Prepare(name, sql string) error {
-	if _, err := sqlparser.ParseOne(sql); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	e.prepared[name] = sql
-	e.mu.Unlock()
-	return nil
-}
-
-// ExecutePrepared binds parameter values and executes a prepared statement.
-func (s *Session) ExecutePrepared(name string, params []types.Value) (*Result, error) {
-	s.engine.mu.Lock()
-	sql, ok := s.engine.prepared[name]
-	s.engine.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("pipeline: no prepared statement %q", name)
-	}
-	ctx, finish := s.beginQuery(context.Background(), sql)
-	defer finish()
-	start := time.Now()
-	stmt, err := sqlparser.ParseOne(sql)
-	if err != nil {
-		return nil, err
-	}
-	if err := lqp.BindParameters(stmt, params); err != nil {
-		return nil, err
-	}
-	return s.runPlanned(ctx, stmt, sql, false, nil, nil, time.Since(start))
-}
-
-// ExecuteWithParams parses the SQL, substitutes the '?' placeholders with
-// the given values, and executes — a one-shot prepared statement (used by
-// the wire protocol's extended query flow).
-func (s *Session) ExecuteWithParams(sql string, params []types.Value) (*Result, error) {
-	return s.ExecuteWithParamsContext(context.Background(), sql, params)
-}
-
-// ExecuteWithParamsContext is ExecuteWithParams with cooperative
-// cancellation (the wire server threads the connection's statement context
-// through here for the extended query flow).
-func (s *Session) ExecuteWithParamsContext(ctx context.Context, sql string, params []types.Value) (*Result, error) {
-	ctx, finish := s.beginQuery(ctx, sql)
-	defer finish()
-	start := time.Now()
-	stmt, err := sqlparser.ParseOne(sql)
-	if err != nil {
-		return nil, err
-	}
-	if err := lqp.BindParameters(stmt, params); err != nil {
-		return nil, err
-	}
-	return s.runPlanned(ctx, stmt, sql, false, nil, nil, time.Since(start))
 }
 
 // RowStrings renders a result table as printable rows (boundary helper for

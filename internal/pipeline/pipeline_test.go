@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
@@ -403,11 +404,12 @@ func TestPlanCache(t *testing.T) {
 }
 
 func TestPreparedStatements(t *testing.T) {
-	e, s := newTestEngine(t, DefaultConfig())
-	if err := e.Prepare("by_salary", "SELECT e_name FROM emp WHERE e_salary > ? AND e_dept = ?"); err != nil {
+	_, s := newTestEngine(t, DefaultConfig())
+	ps, err := s.PrepareStatement("SELECT e_name FROM emp WHERE e_salary > ? AND e_dept = ?")
+	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.ExecutePrepared("by_salary", []types.Value{types.Float(100), types.Int(1)})
+	res, err := s.ExecutePreparedStatement(context.Background(), ps, []types.Value{types.Float(100), types.Int(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,18 +418,21 @@ func TestPreparedStatements(t *testing.T) {
 		t.Errorf("prepared exec 1: %v", got)
 	}
 	// Re-execution with different parameters.
-	res, err = s.ExecutePrepared("by_salary", []types.Value{types.Float(80), types.Int(2)})
+	res, err = s.ExecutePreparedStatement(context.Background(), ps, []types.Value{types.Float(80), types.Int(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(RowStrings(res.Table)) != 2 { // dan 85, eve 110
 		t.Errorf("prepared exec 2: %v", RowStrings(res.Table))
 	}
-	if _, err := s.ExecutePrepared("nope", nil); err == nil {
-		t.Error("unknown prepared statement should fail")
+	if _, err := s.ExecutePreparedStatement(context.Background(), ps, nil); err == nil {
+		t.Error("missing parameters should fail")
 	}
-	if err := e.Prepare("bad", "SELEKT"); err == nil {
+	if _, err := s.PrepareStatement("SELEKT"); err == nil {
 		t.Error("bad SQL should fail at prepare time")
+	}
+	if _, err := s.PrepareStatement("SELECT nope FROM emp WHERE e_dept = ?"); err == nil {
+		t.Error("unknown column should fail at prepare time")
 	}
 }
 

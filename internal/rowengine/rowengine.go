@@ -8,6 +8,7 @@ package rowengine
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -271,10 +272,7 @@ func (e *Engine) execJoin(n *lqp.JoinNode, params []types.Value) ([][]types.Valu
 				if kv.IsNull() {
 					return "", false, nil
 				}
-				kv = canonical(kv)
-				sb.WriteByte(byte('0' + kv.Type))
-				sb.WriteString(kv.String())
-				sb.WriteByte(0)
+				writeKey(&sb, kv)
 			}
 			return sb.String(), true, nil
 		}
@@ -357,11 +355,31 @@ func (e *Engine) execJoin(n *lqp.JoinNode, params []types.Value) ([][]types.Valu
 	return out, nil
 }
 
+// canonical maps SQL-equal values to one representative: integral floats
+// in int64 range become ints (5.0 ≡ 5, -0.0 ≡ 0), every NaN becomes one NaN,
+// and booleans become 0/1 ints.
 func canonical(v types.Value) types.Value {
-	if v.Type == types.TypeFloat64 && v.F == float64(int64(v.F)) {
-		return types.Int(int64(v.F))
+	switch v.Type {
+	case types.TypeFloat64:
+		if math.IsNaN(v.F) {
+			return types.Float(math.NaN())
+		}
+		if v.F >= -(1<<63) && v.F < 1<<63 && v.F == math.Trunc(v.F) {
+			return types.Int(int64(v.F))
+		}
+	case types.TypeBool:
+		return types.Int(v.I)
 	}
 	return v
+}
+
+// writeKey renders the canonical form of v as one component of a hashable
+// key (join keys, group keys, COUNT DISTINCT values).
+func writeKey(sb *strings.Builder, v types.Value) {
+	c := canonical(v)
+	sb.WriteByte(byte('0' + c.Type))
+	sb.WriteString(c.String())
+	sb.WriteByte(0)
 }
 
 // operatorsSplit mirrors the PQP translator's equi-predicate split without
@@ -432,7 +450,7 @@ func (e *Engine) execAggregate(n *lqp.AggregateNode, params []types.Value) ([][]
 		counts   []int64
 		mins     []types.Value
 		maxs     []types.Value
-		distinct []map[types.Value]struct{}
+		distinct []map[string]struct{}
 		seen     []bool
 	}
 	groups := make(map[string]*state)
@@ -448,9 +466,7 @@ func (e *Engine) execAggregate(n *lqp.AggregateNode, params []types.Value) ([][]
 				return nil, err
 			}
 			keys[i] = v
-			keyBuf.WriteByte(byte('0' + v.Type))
-			keyBuf.WriteString(v.String())
-			keyBuf.WriteByte(0)
+			writeKey(&keyBuf, v)
 		}
 		k := keyBuf.String()
 		st, ok := groups[k]
@@ -461,7 +477,7 @@ func (e *Engine) execAggregate(n *lqp.AggregateNode, params []types.Value) ([][]
 				counts:   make([]int64, len(n.Aggregates)),
 				mins:     make([]types.Value, len(n.Aggregates)),
 				maxs:     make([]types.Value, len(n.Aggregates)),
-				distinct: make([]map[types.Value]struct{}, len(n.Aggregates)),
+				distinct: make([]map[string]struct{}, len(n.Aggregates)),
 				seen:     make([]bool, len(n.Aggregates)),
 			}
 			groups[k] = st
@@ -484,9 +500,11 @@ func (e *Engine) execAggregate(n *lqp.AggregateNode, params []types.Value) ([][]
 				st.counts[i]++
 			case expression.AggCountDistinct:
 				if st.distinct[i] == nil {
-					st.distinct[i] = make(map[types.Value]struct{})
+					st.distinct[i] = make(map[string]struct{})
 				}
-				st.distinct[i][v] = struct{}{}
+				var sb strings.Builder
+				writeKey(&sb, v)
+				st.distinct[i][sb.String()] = struct{}{}
 			case expression.AggSum, expression.AggAvg:
 				st.sums[i] += v.AsFloat()
 				st.counts[i]++
@@ -510,7 +528,7 @@ func (e *Engine) execAggregate(n *lqp.AggregateNode, params []types.Value) ([][]
 			counts:   make([]int64, len(n.Aggregates)),
 			mins:     make([]types.Value, len(n.Aggregates)),
 			maxs:     make([]types.Value, len(n.Aggregates)),
-			distinct: make([]map[types.Value]struct{}, len(n.Aggregates)),
+			distinct: make([]map[string]struct{}, len(n.Aggregates)),
 			seen:     make([]bool, len(n.Aggregates)),
 		}
 		groups[""] = st

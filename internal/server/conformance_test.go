@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -705,5 +706,83 @@ func drainToReady(t *testing.T, c *pgclient.Conn) error {
 		case 'Z':
 			return firstErr
 		}
+	}
+}
+
+// TestRowDescriptionSameOverBothProtocols reads the raw RowDescription and
+// DataRow frames the simple and the extended protocol send for one query
+// over int, float and text columns: both must be byte-identical, with
+// typlen 8 for int8/float8 and -1 for text, as PostgreSQL sends.
+func TestRowDescriptionSameOverBothProtocols(t *testing.T) {
+	addr, _, _ := confSetup(t)
+	nc, r := rawSession(t, addr)
+	const sql = "SELECT id, price, name FROM conf WHERE id = 1"
+	send := func(msgType byte, payload []byte) {
+		t.Helper()
+		frame := binary.BigEndian.AppendUint32([]byte{msgType}, uint32(len(payload)+4))
+		if _, err := nc.Write(append(frame, payload...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// frames collects the payloads of the RowDescription and DataRow
+	// messages up to ReadyForQuery.
+	frames := func() (desc, row []byte) {
+		t.Helper()
+		_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for {
+			mt, payload, err := readRaw(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch mt {
+			case 'T':
+				desc = payload
+			case 'D':
+				row = payload
+			case 'E':
+				t.Fatalf("error: %+v", pgclient.DecodeError(payload))
+			case 'Z':
+				return desc, row
+			}
+		}
+	}
+
+	send('Q', append([]byte(sql), 0))
+	simpleDesc, simpleRow := frames()
+
+	send('P', parsePayload("", sql, nil))
+	send('B', bindPayload("", "", nil))
+	send('D', []byte{'P', 0})
+	send('E', executePayload("", 0))
+	send('S', nil)
+	extDesc, extRow := frames()
+
+	if !bytes.Equal(simpleDesc, extDesc) {
+		t.Errorf("RowDescription differs:\n  simple   %x\n  extended %x", simpleDesc, extDesc)
+	}
+	if !bytes.Equal(simpleRow, extRow) {
+		t.Errorf("DataRow differs:\n  simple   %x\n  extended %x", simpleRow, extRow)
+	}
+	// Walk the fields: name, table OID, column number, type OID, typlen.
+	want := []struct {
+		name   string
+		oid    uint32
+		typlen int16
+	}{{"id", 20, 8}, {"price", 701, 8}, {"name", 25, -1}}
+	if n := binary.BigEndian.Uint16(simpleDesc); int(n) != len(want) {
+		t.Fatalf("RowDescription has %d fields, want %d", n, len(want))
+	}
+	p := simpleDesc[2:]
+	for _, w := range want {
+		end := bytes.IndexByte(p, 0)
+		if end < 0 || len(p) < end+19 {
+			t.Fatalf("truncated RowDescription field %q", w.name)
+		}
+		name, field := string(p[:end]), p[end+1:end+19]
+		oid, typlen := binary.BigEndian.Uint32(field[6:10]), int16(binary.BigEndian.Uint16(field[10:12]))
+		if name != w.name || oid != w.oid || typlen != w.typlen {
+			t.Errorf("field %q oid %d typlen %d, want %q oid %d typlen %d", name, oid, typlen, w.name, w.oid, w.typlen)
+		}
+		p = p[end+19:]
 	}
 }

@@ -590,25 +590,22 @@ func (w *wire) writeParameterDescription(oids []uint32) {
 
 // writeRowDescriptionCols emits RowDescription from a column name/type list,
 // reporting the format each column will use on the wire (text when fmts is
-// empty).
+// nil). Both protocols describe their results through it.
 func (w *wire) writeRowDescriptionCols(names []string, dts []types.DataType, fmts []int16) {
-	var payload []byte
-	n := make([]byte, 2)
-	binary.BigEndian.PutUint16(n, uint16(len(names)))
-	payload = append(payload, n...)
+	payload := binary.BigEndian.AppendUint16(nil, uint16(len(names)))
 	for i, name := range names {
-		payload = append(payload, []byte(name)...)
-		payload = append(payload, 0)
-		field := make([]byte, 18)
 		dt := types.TypeString
 		if i < len(dts) {
 			dt = dts[i]
 		}
-		binary.BigEndian.PutUint32(field[6:10], oidForType(dt))
-		binary.BigEndian.PutUint16(field[10:12], typlenFor(dt))
-		binary.BigEndian.PutUint32(field[12:16], 0xFFFFFFFF) // typmod -1
-		binary.BigEndian.PutUint16(field[16:18], uint16(formatFor(fmts, i)))
-		payload = append(payload, field...)
+		payload = append(payload, name...)
+		payload = append(payload, 0)
+		payload = binary.BigEndian.AppendUint32(payload, 0) // table OID
+		payload = binary.BigEndian.AppendUint16(payload, 0) // column number
+		payload = binary.BigEndian.AppendUint32(payload, oidForType(dt))
+		payload = binary.BigEndian.AppendUint16(payload, typlenFor(dt))
+		payload = binary.BigEndian.AppendUint32(payload, 0xFFFFFFFF) // typmod -1
+		payload = binary.BigEndian.AppendUint16(payload, uint16(formatFor(fmts, i)))
 	}
 	w.writeMessage('T', payload)
 }
@@ -625,50 +622,37 @@ func typlenFor(dt types.DataType) uint16 {
 }
 
 // writeDataRowFormats emits one DataRow honoring per-column result formats:
-// binary int8/float8 big-endian encodings where requested, text otherwise.
+// binary int8/float8 big-endian encodings where requested, text otherwise
+// (all text when fmts is nil).
 func (w *wire) writeDataRowFormats(row []types.Value, fmts []int16) {
-	if len(fmts) == 0 {
-		w.writeDataRow(row)
-		return
-	}
-	var payload []byte
-	n := make([]byte, 2)
-	binary.BigEndian.PutUint16(n, uint16(len(row)))
-	payload = append(payload, n...)
+	payload := binary.BigEndian.AppendUint16(make([]byte, 0, 2+16*len(row)), uint16(len(row)))
 	for i, v := range row {
 		if v.IsNull() {
-			null := make([]byte, 4)
-			binary.BigEndian.PutUint32(null, 0xFFFFFFFF)
-			payload = append(payload, null...)
+			payload = binary.BigEndian.AppendUint32(payload, 0xFFFFFFFF)
 			continue
 		}
-		var data []byte
+		// Reserve the length word, append the value, then fill it in.
+		at := len(payload)
+		payload = append(payload, 0, 0, 0, 0)
 		if formatFor(fmts, i) == 1 {
-			data = binaryEncodeValue(v)
+			payload = appendBinaryValue(payload, v)
 		} else {
-			data = []byte(v.String())
+			payload = append(payload, v.String()...)
 		}
-		length := make([]byte, 4)
-		binary.BigEndian.PutUint32(length, uint32(len(data)))
-		payload = append(payload, length...)
-		payload = append(payload, data...)
+		binary.BigEndian.PutUint32(payload[at:], uint32(len(payload)-at-4))
 	}
 	w.writeMessage('D', payload)
 }
 
-// binaryEncodeValue renders a value in its wire binary format: int8 and
+// appendBinaryValue appends a value in its wire binary format: int8 and
 // float8 as 8 bytes big-endian, strings as raw bytes.
-func binaryEncodeValue(v types.Value) []byte {
+func appendBinaryValue(b []byte, v types.Value) []byte {
 	switch v.Type {
 	case types.TypeInt64:
-		out := make([]byte, 8)
-		binary.BigEndian.PutUint64(out, uint64(v.I))
-		return out
+		return binary.BigEndian.AppendUint64(b, uint64(v.I))
 	case types.TypeFloat64:
-		out := make([]byte, 8)
-		binary.BigEndian.PutUint64(out, math.Float64bits(v.F))
-		return out
+		return binary.BigEndian.AppendUint64(b, math.Float64bits(v.F))
 	default:
-		return []byte(v.String())
+		return append(b, v.String()...)
 	}
 }

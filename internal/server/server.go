@@ -768,10 +768,19 @@ func (w *wire) writeResult(res *pipeline.Result) {
 		return
 	}
 	if res.Table != nil && len(res.Columns) > 0 {
-		w.writeRowDescription(res)
+		defs := res.Table.ColumnDefinitions()
+		names := make([]string, len(defs))
+		dts := make([]types.DataType, len(defs))
+		for i, d := range defs {
+			names[i], dts[i] = d.Name, d.Type
+			if i < len(res.Columns) {
+				names[i] = res.Columns[i]
+			}
+		}
+		w.writeRowDescriptionCols(names, dts, nil)
 		rows := pipeline.ValueRows(res.Table)
 		for _, row := range rows {
-			w.writeDataRow(row)
+			w.writeDataRowFormats(row, nil)
 		}
 		w.writeCommandComplete(fmt.Sprintf("SELECT %d", len(rows)))
 		return
@@ -784,58 +793,6 @@ func (w *wire) writeResult(res *pipeline.Result) {
 	default:
 		w.writeCommandComplete(res.Tag)
 	}
-}
-
-func (w *wire) writeRowDescription(res *pipeline.Result) {
-	defs := res.Table.ColumnDefinitions()
-	var payload []byte
-	n := make([]byte, 2)
-	binary.BigEndian.PutUint16(n, uint16(len(defs)))
-	payload = append(payload, n...)
-	for i, d := range defs {
-		name := d.Name
-		if i < len(res.Columns) {
-			name = res.Columns[i]
-		}
-		payload = append(payload, []byte(name)...)
-		payload = append(payload, 0)
-		field := make([]byte, 18)
-		var oid uint32
-		switch d.Type {
-		case types.TypeInt64:
-			oid = oidInt8
-		case types.TypeFloat64:
-			oid = oidFloat8
-		default:
-			oid = oidText
-		}
-		binary.BigEndian.PutUint32(field[6:10], oid)
-		binary.BigEndian.PutUint16(field[10:12], 0xFFFF) // variable size
-		binary.BigEndian.PutUint32(field[12:16], 0xFFFFFFFF)
-		payload = append(payload, field...)
-	}
-	w.writeMessage('T', payload)
-}
-
-func (w *wire) writeDataRow(row []types.Value) {
-	var payload []byte
-	n := make([]byte, 2)
-	binary.BigEndian.PutUint16(n, uint16(len(row)))
-	payload = append(payload, n...)
-	for _, v := range row {
-		if v.IsNull() {
-			null := make([]byte, 4)
-			binary.BigEndian.PutUint32(null, 0xFFFFFFFF)
-			payload = append(payload, null...)
-			continue
-		}
-		text := v.String()
-		length := make([]byte, 4)
-		binary.BigEndian.PutUint32(length, uint32(len(text)))
-		payload = append(payload, length...)
-		payload = append(payload, []byte(text)...)
-	}
-	w.writeMessage('D', payload)
 }
 
 func (w *wire) writeCommandComplete(tag string) {
