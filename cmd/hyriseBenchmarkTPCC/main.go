@@ -1,7 +1,9 @@
 // Command hyriseBenchmarkTPCC runs the TPC-C transaction mix (an extension:
 // the paper lists TPC-C support as work in progress, §2.10). Like the
 // TPC-H binary it is a one-stop solution: it generates its data, runs the
-// transactions, and prints a JSON result with the full execution context.
+// transactions, checks the TPC-C consistency conditions on districts, orders
+// and order lines (exiting non-zero on a violation), and prints a JSON result
+// with the full execution context.
 //
 //	hyriseBenchmarkTPCC -warehouses 1 -terminals 4 -transactions 1000
 package main
@@ -74,6 +76,9 @@ func main() {
 		total.Aborts += s.Aborts
 	}
 	committed := total.NewOrders + total.Payments + total.OrderStatus
+	if err := tpcc.CheckConsistency(engine); err != nil {
+		fatal(err)
+	}
 
 	out := map[string]any{
 		"benchmark": "TPC-C",

@@ -65,7 +65,10 @@ func columnOrigin(node lqp.Node, index int) (*lqp.StoredTableNode, types.ColumnI
 	return nil, 0, false
 }
 
-// tableStats fetches statistics for a stored table node.
+// tableStats fetches statistics for a stored table node. The entry may lag
+// the live table by up to the cache's refresh drift, so callers take only
+// fractions and distinct counts from it; Cardinality scales by the live row
+// count.
 func (e *Estimator) tableStats(n *lqp.StoredTableNode) *statistics.TableStatistics {
 	if e.Stats == nil || n.Table == nil {
 		return nil

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -337,6 +338,31 @@ func TestEstimatorBasics(t *testing.T) {
 	cross := plan(t, sm, "SELECT o_id FROM orders, cust")
 	if got := est.Cardinality(cross); got != 50000 {
 		t.Errorf("cross cardinality = %f", got)
+	}
+}
+
+// TestEstimatorScalesStaleStatistics: below the refresh drift the cached
+// entry is reused, and the estimate follows the live row count because only
+// the selectivity comes from the entry.
+func TestEstimatorScalesStaleStatistics(t *testing.T) {
+	sm := catalog(t)
+	cache := statistics.NewCache(statistics.EqualHeight)
+	est := NewEstimator(cache)
+	node := plan(t, sm, "SELECT o_id FROM orders WHERE o_cust = 7")
+	before := est.Cardinality(node)
+	orders, _ := sm.GetTable("orders")
+	entry := cache.Peek(orders)
+	for i := 0; i < 90; i++ {
+		if _, err := orders.AppendRow([]types.Value{types.Int(int64(1000 + i)), types.Int(int64(i % 50)), types.Float(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := est.Cardinality(node)
+	if cache.Peek(orders) != entry {
+		t.Fatal("90 rows on 1000 are below drift; the entry must be reused")
+	}
+	if want := before * 1090 / 1000; math.Abs(after-want) > 1e-9 {
+		t.Errorf("cardinality after 90 appends = %v, want %v (live rows x cached selectivity)", after, want)
 	}
 }
 

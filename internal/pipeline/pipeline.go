@@ -201,6 +201,7 @@ func NewEngineErr(cfg Config, sm *storage.StorageManager) (*Engine, error) {
 		planCache: cache.NewLRU[string, *cachedPlan](cfg.PlanCacheSize),
 	}
 	e.opt = optimizer.NewDefault(e.stats)
+	sm.OnDropTable(e.stats.Evict)
 	if cfg.UseScheduler {
 		e.sched = scheduler.NewNodeQueueScheduler(cfg.SchedulerNodes, cfg.SchedulerWorkers)
 	} else {
@@ -254,6 +255,7 @@ func (e *Engine) initObservability() {
 		exec:       observe.NewExecMetrics(r),
 		waits:      observe.NewWaitMetrics(r),
 	}
+	e.stats.Instrument(r)
 	e.active = observe.NewActiveRegistry()
 	e.stmtStats = observe.NewStatementStats(0)
 	e.scanStats = observe.NewScanStats()

@@ -3,8 +3,10 @@ package statistics
 import (
 	"math"
 	"sync"
+	"time"
 
 	"hyrise/internal/encoding"
+	"hyrise/internal/observe"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
 )
@@ -31,7 +33,9 @@ func (c *ColumnStatistics) NullFraction() float64 {
 }
 
 // TableStatistics summarizes a table. Statistics are built lazily by the
-// optimizer and cached per table (invalidation on row-count change).
+// optimizer and cached per table; Cache refreshes them once the table's row
+// count has drifted by refreshFraction, so an entry may describe a table a
+// little smaller or larger than the live one.
 type TableStatistics struct {
 	RowCount float64
 	Columns  []*ColumnStatistics
@@ -195,17 +199,48 @@ func clampSel(s float64) float64 {
 	return s
 }
 
-// Cache caches TableStatistics per table, invalidated when the row count
-// changes (cheap heuristic; statistics need not be exact).
+// refreshFraction is how far a table's row count must drift from the count
+// its statistics were built at before Get rebuilds them: an entry built at
+// n rows serves until the live count differs from n by at least
+// max(1, n*refreshFraction). This is PostgreSQL's autoanalyze scale factor
+// without its additive floor. Because successive refreshes are a constant
+// factor apart, the histogram work a growing table causes is a constant
+// multiple of the rows appended, not one full-table build per write.
+const refreshFraction = 0.1
+
+// drifted reports whether live rows are far enough from built rows to
+// warrant a rebuild.
+func drifted(built, live int) bool {
+	d := live - built
+	if d < 0 {
+		d = -d
+	}
+	return d >= max(1, int(float64(built)*refreshFraction))
+}
+
+// Cache caches TableStatistics per table and refreshes an entry once the
+// table's row count has drifted by refreshFraction. Builds run outside the
+// cache lock: a caller that finds a refresh of the same table in flight gets
+// the previous entry, so stale estimates are part of the contract. Only a
+// table's first build can run twice concurrently; the last install wins.
+//
+// Estimates stay consistent under drift because the estimator only takes
+// fractions from an entry (EstimateEquals and EstimateRange divide by the
+// entry's own RowCount) and scales them by the live row count.
 type Cache struct {
+	kind HistogramType
+
 	mu      sync.Mutex
 	entries map[*storage.Table]cacheEntry
-	kind    HistogramType
+
+	builds  *observe.Counter   // nil until Instrument
+	buildNS *observe.Histogram // nil until Instrument
 }
 
 type cacheEntry struct {
-	stats    *TableStatistics
-	rowCount int
+	stats      *TableStatistics // nil while the table's first build runs
+	rowCount   int              // the row count stats were built at
+	refreshing bool             // a build of this table is in flight
 }
 
 // NewCache creates a statistics cache using the given histogram type.
@@ -213,30 +248,61 @@ func NewCache(kind HistogramType) *Cache {
 	return &Cache{entries: make(map[*storage.Table]cacheEntry), kind: kind}
 }
 
+// Instrument registers the cache's build metrics in r: statistics.builds
+// counts histogram builds and statistics.build_ns records how long each
+// took. Call it before the cache is shared.
+func (c *Cache) Instrument(r *observe.Registry) {
+	c.builds = r.Counter("statistics.builds")
+	c.buildNS = r.Histogram("statistics.build_ns")
+}
+
 // Peek returns the cached statistics of a table without building anything —
 // the executor's parallelism cost gates call this per scan, so it must stay
-// a map lookup. Stale entries (row count drifted since the build) are still
-// returned: a slightly off selectivity only skews a serial-vs-parallel
+// a map lookup (builds never hold the lock). Stale entries are returned as
+// they are: a slightly off selectivity only skews a serial-vs-parallel
 // choice, never a result. Returns nil when the optimizer has not built
 // statistics for the table yet.
 func (c *Cache) Peek(t *storage.Table) *TableStatistics {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[t]; ok {
-		return e.stats
-	}
-	return nil
+	return c.entries[t].stats
 }
 
-// Get returns (building if needed) the statistics of a table.
+// Get returns the statistics of a table, building them on first use and
+// rebuilding them once the row count has drifted (see refreshFraction).
 func (c *Cache) Get(t *storage.Table) *TableStatistics {
+	live := t.RowCount()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	rc := t.RowCount()
-	if e, ok := c.entries[t]; ok && e.rowCount == rc {
+	e := c.entries[t]
+	if e.stats != nil && (e.refreshing || !drifted(e.rowCount, live)) {
+		c.mu.Unlock()
 		return e.stats
 	}
+	e.refreshing = true
+	c.entries[t] = e
+	c.mu.Unlock()
+
+	start := time.Now()
 	stats := BuildTableStatistics(t, c.kind)
-	c.entries[t] = cacheEntry{stats: stats, rowCount: rc}
+	if c.builds != nil {
+		c.builds.Inc()
+		c.buildNS.Observe(time.Since(start).Nanoseconds())
+	}
+
+	c.mu.Lock()
+	// A table evicted while its build ran stays evicted.
+	if _, ok := c.entries[t]; ok {
+		c.entries[t] = cacheEntry{stats: stats, rowCount: int(stats.RowCount)}
+	}
+	c.mu.Unlock()
 	return stats
+}
+
+// Evict drops a table's entry. The entry's key is the table itself, so
+// without eviction a dropped table's chunks would stay reachable. The engine
+// wires it to StorageManager.OnDropTable.
+func (c *Cache) Evict(t *storage.Table) {
+	c.mu.Lock()
+	delete(c.entries, t)
+	c.mu.Unlock()
 }

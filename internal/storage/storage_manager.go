@@ -25,6 +25,8 @@ type StorageManager struct {
 	tables map[string]*Table
 	views  map[string]string // view name -> SQL text (embedded at planning time)
 	meta   map[string]MetaTableProvider
+	// dropHooks run after DropTable removes a table (see OnDropTable).
+	dropHooks []func(*Table)
 
 	// epoch counts catalog mutations (table/view add/drop). Cached plans
 	// embed table pointers; consumers record the epoch at build time and
@@ -113,17 +115,34 @@ func (sm *StorageManager) HasTable(name string) bool {
 	return ok
 }
 
-// DropTable removes a table from the catalog.
+// DropTable removes a table from the catalog and then runs the OnDropTable
+// hooks for it.
 func (sm *StorageManager) DropTable(name string) error {
 	sm.mu.Lock()
-	defer sm.mu.Unlock()
 	key := strings.ToLower(name)
-	if _, ok := sm.tables[key]; !ok {
+	t, ok := sm.tables[key]
+	if !ok {
+		sm.mu.Unlock()
 		return fmt.Errorf("storage: no table named %q", name)
 	}
 	delete(sm.tables, key)
 	sm.epoch.Add(1)
+	hooks := sm.dropHooks
+	sm.mu.Unlock()
+	for _, fn := range hooks {
+		fn(t)
+	}
 	return nil
+}
+
+// OnDropTable registers fn to run, outside the catalog lock, for every table
+// DropTable removes. Caches keyed by table use it to release their entries:
+// every drop path (SQL DROP TABLE, a rolled-back CREATE, WAL replay, a
+// replication follower) goes through DropTable.
+func (sm *StorageManager) OnDropTable(fn func(*Table)) {
+	sm.mu.Lock()
+	sm.dropHooks = append(sm.dropHooks, fn)
+	sm.mu.Unlock()
 }
 
 // TableNames returns the sorted names of all registered tables.

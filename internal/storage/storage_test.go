@@ -335,6 +335,23 @@ func TestStorageManagerCatalog(t *testing.T) {
 	}
 }
 
+func TestStorageManagerDropHooks(t *testing.T) {
+	sm := NewStorageManager()
+	tbl := NewTable("orders", testDefs(), 0, false)
+	if err := sm.AddTable(tbl); err != nil {
+		t.Fatal(err)
+	}
+	var dropped []*Table
+	sm.OnDropTable(func(t *Table) { dropped = append(dropped, t) })
+	if err := sm.DropTable("ORDERS"); err != nil {
+		t.Fatal(err)
+	}
+	_ = sm.DropTable("orders") // unknown now: no hook call
+	if len(dropped) != 1 || dropped[0] != tbl {
+		t.Errorf("drop hook saw %v, want the dropped table once", dropped)
+	}
+}
+
 func TestStorageManagerViews(t *testing.T) {
 	sm := NewStorageManager()
 	if err := sm.AddView("v", "SELECT 1"); err != nil {

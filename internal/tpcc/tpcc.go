@@ -9,6 +9,8 @@ package tpcc
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"strconv"
 	"strings"
 
 	"hyrise/internal/concurrency"
@@ -406,4 +408,63 @@ func (t *Terminal) OrderStatus() error {
 		SELECT ol_number, ol_i_id, ol_quantity, ol_amount FROM order_line
 		WHERE ol_w_id = %d AND ol_d_id = %d AND ol_o_id = %s`, w, d, rows[0][0]))
 	return err
+}
+
+// CheckConsistency verifies two TPC-C consistency conditions for every
+// district: d_next_o_id - 1 equals the district's max(o_id) (condition 2),
+// and the district's order_line row count equals its sum of o_ol_cnt
+// (condition 4). It returns an error naming each violating district.
+func CheckConsistency(e *pipeline.Engine) error {
+	s := e.NewSession()
+	query := func(sql string) (map[[2]string][]float64, error) {
+		res, err := s.ExecuteOne(sql)
+		if err != nil {
+			return nil, err
+		}
+		out := make(map[[2]string][]float64)
+		for _, row := range pipeline.RowStrings(res.Table) {
+			vals := make([]float64, len(row)-2)
+			for i, cell := range row[2:] {
+				if vals[i], err = strconv.ParseFloat(cell, 64); err != nil {
+					return nil, fmt.Errorf("tpcc: consistency: %q in %s: %w", cell, sql, err)
+				}
+			}
+			out[[2]string{row[0], row[1]}] = vals
+		}
+		return out, nil
+	}
+	districts, err := query("SELECT d_w_id, d_id, d_next_o_id FROM district")
+	if err != nil {
+		return err
+	}
+	orders, err := query("SELECT o_w_id, o_d_id, max(o_id), sum(o_ol_cnt) FROM orders GROUP BY o_w_id, o_d_id")
+	if err != nil {
+		return err
+	}
+	lines, err := query("SELECT ol_w_id, ol_d_id, count(*) FROM order_line GROUP BY ol_w_id, ol_d_id")
+	if err != nil {
+		return err
+	}
+	var violations []string
+	for key, d := range districts {
+		o, l := orders[key], lines[key]
+		var maxOID, olCnt, lineCount float64
+		if o != nil {
+			maxOID, olCnt = o[0], o[1]
+		}
+		if l != nil {
+			lineCount = l[0]
+		}
+		if d[0]-1 != maxOID {
+			violations = append(violations, fmt.Sprintf("w=%s d=%s: d_next_o_id-1 = %v, max(o_id) = %v", key[0], key[1], d[0]-1, maxOID))
+		}
+		if lineCount != olCnt {
+			violations = append(violations, fmt.Sprintf("w=%s d=%s: %v order lines, sum(o_ol_cnt) = %v", key[0], key[1], lineCount, olCnt))
+		}
+	}
+	if len(violations) > 0 {
+		sort.Strings(violations)
+		return fmt.Errorf("tpcc: consistency violated: %s", strings.Join(violations, "; "))
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package tpcc
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -168,4 +169,37 @@ func TestConcurrentTerminals(t *testing.T) {
 	}
 	// Every committed new-order produced a new_order entry.
 	fmt.Println("concurrent stats:", results)
+}
+
+func TestCheckConsistency(t *testing.T) {
+	e, cfg := setup(t)
+	if err := CheckConsistency(e); err != nil {
+		t.Fatalf("freshly generated data: %v", err)
+	}
+	term := NewTerminal(e, cfg, 4)
+	if _, err := term.Run(30); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckConsistency(e); err != nil {
+		t.Fatalf("after the mix: %v", err)
+	}
+
+	s := e.NewSession()
+	if _, err := s.ExecuteOne("UPDATE district SET d_next_o_id = d_next_o_id + 1 WHERE d_id = 1"); err != nil {
+		t.Fatal(err)
+	}
+	err := CheckConsistency(e)
+	if err == nil || !strings.Contains(err.Error(), "d=1: d_next_o_id-1") {
+		t.Errorf("skipped order id not reported: %v", err)
+	}
+	if _, err := s.ExecuteOne("UPDATE district SET d_next_o_id = d_next_o_id - 1 WHERE d_id = 1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ExecuteOne("INSERT INTO order_line VALUES (1, 2, 1, 99, 1, 1.0, 1.0)"); err != nil {
+		t.Fatal(err)
+	}
+	err = CheckConsistency(e)
+	if err == nil || !strings.Contains(err.Error(), "d=2:") || !strings.Contains(err.Error(), "order lines") {
+		t.Errorf("extra order line not reported: %v", err)
+	}
 }
